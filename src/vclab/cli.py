@@ -159,7 +159,10 @@ def _solve_vc(args, parser, g, threads):
     if problem == "steiner":
         if not args.terminals:
             parser.error("steiner needs --terminals")
-        terms = [int(x) for x in args.terminals.split()]
+        try:
+            terms = [int(x) for x in args.terminals.split()]
+        except ValueError:
+            raise VclabError(f"--terminals must be integers, got {args.terminals!r}") from None
         value = steiner_vc(g, terms)
         return f"{value}\n", {"value": value, "terminals": terms}
     if problem == "ssvc":
@@ -168,7 +171,7 @@ def _solve_vc(args, parser, g, threads):
         if algo == "naive":
             row = ssvc(g, args.s)
         elif algo == "fast":
-            row = fast_ssvc(g, args.s, k=args.k, seed=_ensure_seed(args), c=args.c, threads=threads)
+            row = fast_ssvc(g, args.s, k=args.k, threads=threads)
         else:
             if args.k is None:
                 parser.error("ssvc --algo sampled needs --k")
@@ -182,7 +185,7 @@ def _solve_vc(args, parser, g, threads):
     if algo == "naive":
         mat = apvc_naive(g, threads=threads)
     elif algo == "fast":
-        mat = fast_apvc(g, k=args.k, seed=_ensure_seed(args), c=args.c, threads=threads, mode=args.mode)
+        mat = fast_apvc(g, k=args.k, threads=threads, mode=args.mode)
     else:
         if args.k is None:
             parser.error("apvc --algo sampled needs --k")
@@ -198,6 +201,8 @@ def cmd_vc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     t_load = time.time()
     payload, result = _solve_vc(args, parser, g, resolve_threads(args.threads))
     t_solve = time.time()
+    if args.algo != "sampled":
+        args.seed = None  # only the sampler uses a seed, so only it echoes one
     rep = _report(
         args,
         problem=args.problem,
@@ -277,13 +282,13 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 # ---------------------------------------------------------------------------
 
 
-def _bench_once(problem, algo, g, seed, threads):
+def _bench_once(problem, algo, g, threads):
     t0 = time.time()
     if problem == "apvc":
-        out = apvc_naive(g, threads=threads) if algo == "naive" else fast_apvc(g, seed=seed, threads=threads)
+        out = apvc_naive(g, threads=threads) if algo == "naive" else fast_apvc(g, threads=threads)
         payload = out.to_tsv()
     else:
-        row = ssvc(g, 0) if algo == "naive" else fast_ssvc(g, 0, seed=seed, threads=threads)
+        row = ssvc(g, 0) if algo == "naive" else fast_ssvc(g, 0, threads=threads)
         out = row
         payload = "\t".join(str(x) for x in row) + "\n"
     return payload, time.time() - t0
@@ -303,7 +308,7 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         payloads = {}
         times = {}
         for algo in algos:
-            payloads[algo], times[algo] = _bench_once(args.problem, algo, g, seed, threads)
+            payloads[algo], times[algo] = _bench_once(args.problem, algo, g, threads)
         baseline = payloads[algos[0]]
         for algo in algos[1:]:
             if payloads[algo] != baseline:

@@ -307,10 +307,6 @@ def parse_edge_pairs(text: str) -> EdgeSet:
     return EdgeSet.of(pairs)
 
 
-def emit_edge_pairs(es: EdgeSet) -> str:
-    return "".join(f"{u} {v}\n" for u, v in es)
-
-
 # ---------------------------------------------------------------------------
 # Generators. All are deterministic for a fixed seed.
 # ---------------------------------------------------------------------------

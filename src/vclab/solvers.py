@@ -4,16 +4,19 @@ Three layers:
 
 - definitional solvers (apvc_naive, ssvc, global_vc, steiner_vc) that run one
   max flow per pair;
-- the sampled capped solver: t random terminal sets, capped element
-  connectivity inside each, entrywise minima as estimates that never
-  undershoot min(kappa, k);
-- degree-split fast solvers (fast_apvc, fast_ssvc) that route high-degree
-  pairs to direct flow and everything touching a low-degree vertex through
-  the capped solver, which is exact there because kappa is at most the
-  smaller endpoint degree.
+- degree-split fast solvers (fast_apvc, fast_ssvc): a pair of two
+  high-degree vertices gets an uncapped max flow, and every other pair one
+  flow capped at k, which is exact there because kappa is at most the
+  smaller endpoint degree;
+- the paper's sampled capped estimator (capped_apvc_sampled,
+  capped_ssvc_sampled): t random terminal sets, capped element connectivity
+  inside each, entrywise minima as estimates that never undershoot
+  min(kappa, k). It pays off only with a near-linear element-connectivity
+  Gomory-Hu tree, which vclab lacks, so the fast solvers do not use it.
 
 Every randomized routine takes an explicit seed, and each sample set gets
-its own derived RNG, so serial and parallel runs draw identical sets.
+its own derived RNG, so serial and parallel runs draw identical sets. All
+pooled work goes through one fan-out helper over worker processes.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import itertools
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,10 +35,6 @@ from .flow import ConnectivitySweep
 from .graphs import Edge, Graph, canonical_edge, emit_graph, parse_graph
 
 DIAG = -1  # diagonal sentinel: kappa(v, v) is undefined
-
-# Pluggable capped element-connectivity provider, so a faster backend (for
-# example a Gomory-Hu style tree) can replace the per-pair flow sweep.
-ElementOracle = Callable[[Graph, frozenset, int, int, int], int]
 
 
 @dataclass
@@ -142,24 +141,55 @@ def _all_pairs(n: int) -> list[Edge]:
     return list(itertools.combinations(range(n), 2))
 
 
-def _vc_pairs_worker(payload: tuple[str, list[Edge]]) -> list[int]:
-    text, pairs = payload
-    sweep = ConnectivitySweep(parse_graph(text))
-    return [sweep.query(u, v) for u, v in pairs]
+# A job is (terminals or None, pairs, cutoff): one sweep over the graph, in
+# element mode when terminals are given, queried once per pair.
+Job = tuple[tuple[int, ...] | None, list[Edge], int | None]
+
+# Below this many queries in total, starting worker processes costs more
+# than it saves.
+_MIN_POOLED_QUERIES = 32
 
 
-def _solve_pairs(g: Graph, pairs: Sequence[Edge], threads: int) -> dict[Edge, int]:
-    """One exact flow per pair, optionally fanned out over worker processes."""
-    if threads <= 1 or len(pairs) < 32:
-        sweep = ConnectivitySweep(g)
-        return {p: sweep.query(*p) for p in pairs}
+def _run_jobs(g: Graph, jobs: Sequence[Job]) -> list[list[int]]:
+    out = []
+    for terminals, pairs, cutoff in jobs:
+        sweep = ConnectivitySweep(g, terminals=terminals)
+        out.append([sweep.query(u, v, cutoff=cutoff) for u, v in pairs])
+    return out
+
+
+def _jobs_worker(payload: tuple[str, list[Job]]) -> list[list[int]]:
+    text, jobs = payload
+    return _run_jobs(parse_graph(text), jobs)
+
+
+def _fan_out(g: Graph, jobs: Sequence[Job], threads: int) -> list[list[int]]:
+    """Each job's query values, in job order.
+
+    Jobs are dealt round-robin over `threads` worker processes; each worker
+    parses the graph once and runs its jobs in turn.
+    """
+    if threads <= 1 or sum(len(job[1]) for job in jobs) < _MIN_POOLED_QUERIES:
+        return _run_jobs(g, jobs)
     text = emit_graph(g)
-    chunks = [list(pairs[i::threads]) for i in range(threads)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_vc_pairs_worker, [(text, ch) for ch in chunks]))
+    chunks = [jobs[i::threads] for i in range(min(threads, len(jobs)))]
+    out: list[list[int]] = [[] for _ in jobs]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        for i, part in enumerate(pool.map(_jobs_worker, [(text, ch) for ch in chunks])):
+            out[i::threads] = part
+    return out
+
+
+def _solve_pairs(
+    g: Graph, pairs: Sequence[Edge], threads: int, cutoff: int | None = None
+) -> dict[Edge, int]:
+    """kappa of each pair, min(kappa, cutoff) with a cutoff, by one flow each;
+    the pairs are dealt round-robin over `threads` chunks."""
+    step = min(max(threads, 1), len(pairs))
+    chunks = [pairs[i::step] for i in range(step)]
     out: dict[Edge, int] = {}
-    for chunk, vals in zip(chunks, results):
-        out.update(zip(chunk, vals))
+    for chunk, values in zip(chunks, _fan_out(g, [(None, ch, cutoff) for ch in chunks], threads)):
+        out.update(zip(chunk, values))
     return out
 
 
@@ -232,6 +262,8 @@ def draw_sample_family(
     """t = ceil(c k^2 ln n) subsets, each vertex kept with probability 1/k."""
     if k < 1:
         raise QueryError(f"cap must be >= 1, got {k}")
+    if not (c > 0 and math.isfinite(c)):
+        raise QueryError(f"sample constant c must be a positive number, got {c}")
     t = sample_set_count(n, k, c)
     limit = _size_limit(n, k)
     p = 1.0 / k
@@ -250,64 +282,24 @@ def draw_sample_family(
     return fam
 
 
-def _element_chunk_worker(
-    payload: tuple[str, int, list[tuple[tuple[int, ...], list[Edge]]]]
-) -> list[tuple[Edge, int]]:
-    text, k, jobs = payload
-    g = parse_graph(text)
-    out: list[tuple[Edge, int]] = []
-    for terminals, pairs in jobs:
-        sweep = ConnectivitySweep(g, terminals=terminals)
-        out.extend((p, sweep.query(*p, cutoff=k)) for p in pairs)
-    return out
-
-
 def _sampled_estimates(
-    g: Graph,
-    fam: SampleFamily,
-    pairs: Sequence[Edge],
-    threads: int,
-    oracle: ElementOracle | None,
+    g: Graph, fam: SampleFamily, pairs: Sequence[Edge], threads: int
 ) -> dict[Edge, int]:
     """min over co-samples of min(kappa'_{G,U_i}, k); k when never co-sampled."""
     k = fam.k
     est = {p: k for p in pairs}
-    wanted: dict[int, set[Edge]] = {}
+    wanted: dict[int, list[Edge]] = {}
     for p in pairs:
         u, v = p
         for i, u_i in enumerate(fam.sets):
             # sets are sorted tuples; membership scan is fine at these sizes
             if u in u_i and v in u_i:
-                wanted.setdefault(i, set()).add(p)
-    jobs = [(fam.sets[i], sorted(ps)) for i, ps in sorted(wanted.items())]
-
-    if oracle is not None:
-        for terminals, ps in jobs:
-            tset = frozenset(terminals)
-            for p in ps:
-                a_i = oracle(g, tset, p[0], p[1], k)
-                if a_i < est[p]:
-                    est[p] = a_i
-        return est
-
-    if threads <= 1 or len(jobs) < 8:
-        for terminals, ps in jobs:
-            sweep = ConnectivitySweep(g, terminals=terminals)
-            for p in ps:
-                # capping at the running estimate cannot raise the final min
-                a_i = sweep.query(*p, cutoff=est[p])
-                if a_i < est[p]:
-                    est[p] = a_i
-        return est
-
-    text = emit_graph(g)
-    chunks = [jobs[i::threads] for i in range(threads)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(_element_chunk_worker, [(text, k, ch) for ch in chunks if ch])
-        for part in results:
-            for p, a_i in part:
-                if a_i < est[p]:
-                    est[p] = a_i
+                wanted.setdefault(i, []).append(p)
+    jobs = [(fam.sets[i], ps, k) for i, ps in sorted(wanted.items())]
+    for (_, ps, _), values in zip(jobs, _fan_out(g, jobs, threads)):
+        for p, a_i in zip(ps, values):
+            if a_i < est[p]:
+                est[p] = a_i
     return est
 
 
@@ -329,7 +321,6 @@ def capped_apvc_sampled(
     c: float = 4.0,
     threads: int = 1,
     pairs: Sequence[Edge] | None = None,
-    oracle: ElementOracle | None = None,
     force: int | None = None,
 ) -> ConnectivityMatrix:
     """All-pairs min(kappa, k) by random terminal sampling.
@@ -346,7 +337,7 @@ def capped_apvc_sampled(
     else:
         wanted = sorted({canonical_edge(*p) for p in pairs})
     fam = draw_sample_family(g.n, k, seed, c=c, force=force)
-    est = _sampled_estimates(g, fam, wanted, threads, oracle)
+    est = _sampled_estimates(g, fam, wanted, threads)
     mat = ConnectivityMatrix.empty(g.n, cap=k)
     if fallback:
         sweep = ConnectivitySweep(g)
@@ -402,82 +393,45 @@ def default_ssvc_threshold(m: int) -> int:
     return math.ceil(m ** (1.0 / 3.0))
 
 
-def fast_apvc(
-    g: Graph,
-    k: int | None = None,
-    seed: int = 0,
-    c: float = 4.0,
-    threads: int = 1,
-    mode: str = "default",
-) -> ConnectivityMatrix:
-    """Exact APVC via the degree split.
+def _split_solve(g: Graph, pairs: Sequence[Edge], k: int, threads: int) -> dict[Edge, int]:
+    """Exact kappa of each pair via the degree split at k.
 
-    Pairs inside the high-degree part get direct max flows. Any pair with a
-    low-degree endpoint has kappa <= k, so the capped sampled solver (with
-    fallback) already returns it exactly.
+    A pair of two high-degree vertices gets an uncapped flow. Any other pair
+    has kappa <= k, since kappa is at most either endpoint's degree, so one
+    flow capped at k already returns it exactly.
     """
-    if k is None:
-        k = default_apvc_threshold(g.m, mode)
+    if k < 0:
+        raise QueryError(f"degree threshold k must be >= 0, got {k}")
     split = degree_split(g, k)
     split.validate(g)
     high = set(split.high)
-    all_pairs = _all_pairs(g.n)
-    high_pairs = [p for p in all_pairs if p[0] in high and p[1] in high]
-    low_pairs = [p for p in all_pairs if p[0] not in high or p[1] not in high]
+    both_high = [p for p in pairs if p[0] in high and p[1] in high]
+    touch_low = [p for p in pairs if p[0] not in high or p[1] not in high]
+    return {**_solve_pairs(g, both_high, threads), **_solve_pairs(g, touch_low, threads, cutoff=k)}
 
+
+def fast_apvc(
+    g: Graph, k: int | None = None, threads: int = 1, mode: str = "default"
+) -> ConnectivityMatrix:
+    """Exact APVC via the degree split at k (default: m^(2/5), or m^(1/2) in mode "gh")."""
+    if k is None:
+        k = default_apvc_threshold(g.m, mode)
     mat = ConnectivityMatrix.empty(g.n)
-    for p, value in _solve_pairs(g, high_pairs, threads).items():
+    for p, value in _split_solve(g, _all_pairs(g.n), k, threads).items():
         mat.put(*p, value)
-    if low_pairs:
-        if k == 0:
-            # every low vertex is isolated, so those pairs are disconnected
-            for p in low_pairs:
-                mat.put(*p, 0)
-        else:
-            capped = capped_apvc_sampled(
-                g, k, seed, fallback=True, c=c, threads=threads, pairs=low_pairs
-            )
-            for p in low_pairs:
-                value = capped.entry(*p)
-                assert value <= k
-                mat.put(*p, value)
     return mat
 
 
-def fast_ssvc(
-    g: Graph,
-    s: int,
-    k: int | None = None,
-    seed: int = 0,
-    c: float = 4.0,
-    threads: int = 1,
-) -> list[int]:
-    """Exact SSVC via the same split, with s forced into every sample set."""
+def fast_ssvc(g: Graph, s: int, k: int | None = None, threads: int = 1) -> list[int]:
+    """Exact SSVC via the degree split at k (default: m^(1/3))."""
     if not 0 <= s < g.n:
         raise QueryError(f"source {s} out of range for n={g.n}")
     if k is None:
         k = default_ssvc_threshold(g.m)
-    split = degree_split(g, k)
-    split.validate(g)
-    high = set(split.high)
     out = [DIAG] * g.n
-    high_targets = [v for v in split.high if v != s] if s in high else []
-    low_targets = [v for v in range(g.n) if v != s and (s not in high or v not in high)]
-
-    if high_targets:
-        sweep = ConnectivitySweep(g)
-        for v in high_targets:
-            out[v] = sweep.query(s, v)
-    if low_targets:
-        if k == 0:
-            for v in low_targets:
-                out[v] = 0
-        else:
-            capped = capped_ssvc_sampled(
-                g, s, k, seed, fallback=True, c=c, threads=threads, targets=low_targets
-            )
-            for v in low_targets:
-                out[v] = capped[v]
+    pairs = [(s, v) for v in range(g.n) if v != s]
+    for (_, v), value in _split_solve(g, pairs, k, threads).items():
+        out[v] = value
     return out
 
 

@@ -109,12 +109,14 @@ def test_vc_ssvc_row(tmp_path, capsys):
     assert capsys.readouterr().out == "-1\t1\t1\t1\n"
 
 
-def test_vc_fast_equals_naive(tmp_path):
+def test_vc_fast_equals_naive(tmp_path, capsys):
     path = write_graph(tmp_path, gen_gnp(12, 0.5, 9))
     a, b = tmp_path / "naive.tsv", tmp_path / "fast.tsv"
     assert main(["vc", "apvc", "--graph", path, "--algo", "naive", "--out", str(a)]) == 0
+    capsys.readouterr()
     assert main(["vc", "apvc", "--graph", path, "--algo", "fast", "--seed", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert "seed" not in json.loads(capsys.readouterr().out)  # fast draws nothing at random
 
 
 def test_vc_sampled_same_bytes_across_threads(tmp_path):
@@ -144,6 +146,21 @@ def test_vc_param_validation(tmp_path):
 def test_vc_unreadable_graph_exit_2(tmp_path, capsys):
     assert main(["vc", "global", "--graph", str(tmp_path / "missing.txt")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["apvc", "--algo", "fast", "--k", "-2"],
+    ["ssvc", "--algo", "fast", "--s", "0", "--k", "-2"],
+    ["apvc", "--algo", "sampled", "--k", "2", "--c", "-1"],
+    ["ssvc", "--algo", "sampled", "--s", "0", "--k", "2", "--c", "0"],
+    ["steiner", "--terminals", "a b"],
+])
+def test_vc_bad_input_exit_2(tmp_path, capsys, argv):
+    path = p3_file(tmp_path)
+    assert main(["vc", argv[0], "--graph", path, "--threads", "1"] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def test_default_thresholds():
 @settings(max_examples=20, deadline=None)
 def test_fast_apvc_matches_naive(n, p, seed):
     g = gen_gnp(min(n, 9), p, seed)
-    assert fast_apvc(g, seed=seed) == apvc_naive(g)
+    assert fast_apvc(g) == apvc_naive(g)
 
 
 def test_fast_apvc_all_cap_regimes():
@@ -224,8 +224,8 @@ def test_fast_apvc_all_cap_regimes():
         g = gen_gnp(n, rng.uniform(0.2, 0.8), rng.randrange(10**6))
         want = apvc_naive(g)
         for k in (0, None, g.n):
-            assert fast_apvc(g, k=k, seed=3) == want, f"k={k}"
-        assert fast_apvc(g, seed=3, mode="gh") == want
+            assert fast_apvc(g, k=k) == want, f"k={k}"
+        assert fast_apvc(g, mode="gh") == want
 
 
 def test_fast_ssvc_matches_ssvc():
@@ -234,7 +234,7 @@ def test_fast_ssvc_matches_ssvc():
         n = rng.randint(2, 10)
         g = gen_gnp(n, rng.uniform(0.2, 0.8), rng.randrange(10**6))
         s = rng.randrange(n)
-        assert fast_ssvc(g, s, seed=4) == ssvc(g, s)
+        assert fast_ssvc(g, s) == ssvc(g, s)
     with pytest.raises(QueryError):
         fast_ssvc(g, -1)
 
@@ -250,4 +250,11 @@ def test_threads_do_not_change_answers():
     one = capped_apvc_sampled(g, 3, seed=9, threads=1)
     two = capped_apvc_sampled(g, 3, seed=9, threads=2)
     assert one == two
-    assert fast_apvc(g, seed=9, threads=2) == fast_apvc(g, seed=9, threads=1)
+    assert fast_apvc(g, threads=2) == fast_apvc(g, threads=1)
+    # sparse: most vertices are low, so the capped low-side flows are pooled too
+    sparse = gen_gnp(40, 0.1, 7)
+    low = degree_split(sparse, default_ssvc_threshold(sparse.m)).low
+    assert len(low) > sparse.n // 2
+    assert fast_apvc(sparse, threads=2) == fast_apvc(sparse, threads=1) == apvc_naive(sparse)
+    s = low[0]
+    assert fast_ssvc(sparse, s, threads=2) == fast_ssvc(sparse, s, threads=1) == ssvc(sparse, s)
