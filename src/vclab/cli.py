@@ -82,7 +82,10 @@ def _load_graph(path: str):
 def _deliver(payload: str, out: str | None, report: dict) -> None:
     """Payload to --out with the report on stdout, or payload on stdout."""
     if out:
-        Path(out).write_text(payload)
+        try:
+            Path(out).write_text(payload)
+        except OSError as exc:
+            raise VclabError(f"cannot write {out}: {exc}") from None
         report["payload"] = out
         print(json.dumps(report, sort_keys=True))
     else:
@@ -105,17 +108,17 @@ def _report(args: argparse.Namespace, **extra) -> dict:
 
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     t0 = time.time()
-    if args.kind == "gnp":
+    if args.kind in ("gnp", "planted4"):
         if args.n is None or args.p is None:
-            parser.error("gen gnp requires --n and --p")
+            parser.error(f"gen {args.kind} requires --n and --p")
         seed = _ensure_seed(args)
-        g = gen_gnp(args.n, args.p, seed)
-        payload = emit_graph(g)
-    elif args.kind == "planted4":
-        if args.n is None or args.p is None:
-            parser.error("gen planted4 requires --n and --p")
-        seed = _ensure_seed(args)
-        g = gen_planted_4clique(args.n, args.p, not args.no_plant, seed)
+        try:
+            if args.kind == "gnp":
+                g = gen_gnp(args.n, args.p, seed)
+            else:
+                g = gen_planted_4clique(args.n, args.p, not args.no_plant, seed)
+        except ValueError as exc:
+            raise VclabError(str(exc)) from None
         payload = emit_graph(g)
     else:  # fourpartite
         if args.graph is None:
@@ -201,15 +204,17 @@ def cmd_vc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     t_load = time.time()
     payload, result = _solve_vc(args, parser, g, resolve_threads(args.threads))
     t_solve = time.time()
-    if args.algo != "sampled":
-        args.seed = None  # only the sampler uses a seed, so only it echoes one
+    params = {"k": args.k, "mode": args.mode, "threads": args.threads}
+    if args.algo == "sampled":
+        params.update(c=args.c, fallback=args.fallback)
+    else:
+        args.seed = None  # only the sampler uses a seed, c and fallback, so only it echoes them
     rep = _report(
         args,
         problem=args.problem,
         algo=args.algo,
         instance={"n": g.n, "m": g.m},
-        params={"k": args.k, "c": args.c, "fallback": args.fallback, "mode": args.mode,
-                "threads": args.threads},
+        params=params,
         result=result,
         timings={"load": round(t_load - t0, 6), "solve": round(t_solve - t_load, 6)},
     )

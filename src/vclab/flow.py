@@ -125,31 +125,41 @@ def build_element_network(g: Graph, terminals: Iterable[int], s: int, t: int) ->
 
 
 # ---------------------------------------------------------------------------
-# Blocking-flow max flow. Arc order is fixed at build time and both the BFS
-# and the DFS scan arcs in that order, so values, flows, and cuts are
-# deterministic for a given network.
+# Blocking-flow max flow. Each phase labels nodes by their residual distance
+# to the sink, found by a BFS from the sink over reversed residual arcs that
+# stops once the source is labelled. The DFS from the source then takes only
+# arcs that step one label closer to the sink, so every node it enters could
+# reach the sink when the phase began; a node whose arcs run out is marked
+# dead and no path enters it again in that phase. Arc order is fixed at build
+# time and both searches scan arcs in that order, so values, flows, and cuts
+# are deterministic for a given network.
 # ---------------------------------------------------------------------------
 
 
-def _bfs_levels(net: FlowNetwork) -> list[int]:
-    levels = [-1] * net.num_nodes
-    levels[net.source] = 0
-    queue = deque([net.source])
+def _sink_distances(net: FlowNetwork) -> list[int]:
+    """Residual distance to the sink; -1 for nodes not reached before the source."""
+    dist = [-1] * net.num_nodes
+    s, t = net.source, net.sink
+    dist[t] = 0
     cap, to, adj = net.cap, net.to, net.adj
-    while queue:
-        u = queue.popleft()
-        nxt = levels[u] + 1
-        for a in adj[u]:
-            if cap[a] > 0:
-                w = to[a]
-                if levels[w] < 0:
-                    levels[w] = nxt
-                    queue.append(w)
-    return levels
+    queue = [t]
+    for w in queue:  # the list grows while it is walked: a FIFO queue
+        nxt = dist[w] + 1
+        for a in adj[w]:
+            # arc a runs w -> x, so its partner a ^ 1 is the residual arc x -> w
+            if cap[a ^ 1] > 0:
+                x = to[a]
+                if dist[x] < 0:
+                    dist[x] = nxt
+                    if x == s:
+                        return dist
+                    queue.append(x)
+    return dist
 
 
-def _blocking_flow(net: FlowNetwork, levels: list[int], budget: int | None) -> int:
-    """Push a blocking flow along the level graph; optionally stop at budget."""
+def _blocking_flow(net: FlowNetwork, dist: list[int], budget: int | None) -> int:
+    """Push a blocking flow along arcs that step one label toward the sink;
+    optionally stop at budget. Dead ends get label -1, which no arc matches."""
     cap, to, frm, adj = net.cap, net.to, net.frm, net.adj
     it = [0] * net.num_nodes
     s, t = net.source, net.sink
@@ -175,11 +185,12 @@ def _blocking_flow(net: FlowNetwork, levels: list[int], budget: int | None) -> i
             continue
         arcs = it[u]
         out = adj[u]
+        end = len(out)
         found = -1
-        lu = levels[u] + 1
-        while arcs < len(out):
+        lu = dist[u] - 1
+        while arcs < end:
             a = out[arcs]
-            if cap[a] > 0 and levels[to[a]] == lu:
+            if cap[a] > 0 and dist[to[a]] == lu:
                 found = a
                 break
             arcs += 1
@@ -190,22 +201,19 @@ def _blocking_flow(net: FlowNetwork, levels: list[int], budget: int | None) -> i
         elif u == s:
             return total
         else:
-            a = path.pop()
-            u = frm[a]
+            dist[u] = -1
+            u = frm[path.pop()]
             it[u] += 1
 
 
 def _dinic(net: FlowNetwork, cutoff: int | None = None) -> int:
     value = 0
     while cutoff is None or value < cutoff:
-        levels = _bfs_levels(net)
-        if levels[net.sink] < 0:
+        dist = _sink_distances(net)
+        if dist[net.source] < 0:
             break
         budget = None if cutoff is None else cutoff - value
-        pushed = _blocking_flow(net, levels, budget)
-        if pushed == 0:
-            break
-        value += pushed
+        value += _blocking_flow(net, dist, budget)
     return value
 
 

@@ -36,9 +36,11 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
         """Build a graph from an edge collection.
 
-        Rejects self-loops, duplicate edges (in either orientation), and
-        out-of-range endpoints.
+        Rejects a negative vertex count, self-loops, duplicate edges (in
+        either orientation), and out-of-range endpoints.
         """
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
         adj: list[list[int]] = [[] for _ in range(n)]
         seen: set[Edge] = set()
         for u, v in edges:
@@ -325,6 +327,8 @@ def gen_planted_4clique(n: int, base_p: float, plant: bool, seed: int) -> Graph:
     """G(n, base_p) with, optionally, a uniformly chosen 4-subset completed to a clique."""
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
+    if not 0.0 <= base_p <= 1.0:
+        raise ValueError(f"p={base_p} not in [0, 1]")
     rng = random.Random(seed)
     edges = {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < base_p}
     if plant:

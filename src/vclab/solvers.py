@@ -304,12 +304,14 @@ def _sampled_estimates(
 
 
 def _verified_entry(sweep: ConnectivitySweep, pair: Edge, est: int, k: int) -> int:
-    """Settle one pair exactly: a direct capped flow can only confirm or lower
-    the sampled estimate, never raise it."""
-    if est == 0:
-        return 0
-    exact = sweep.query(*pair, cutoff=min(est, k))
-    assert exact <= est, "sampled estimate undershot the true value"
+    """Settle one pair exactly. Element connectivity dominates vertex
+    connectivity, so a correct estimate can only be confirmed or lowered; the
+    flow is capped one above it so that an undershoot shows."""
+    exact = sweep.query(*pair, cutoff=min(est + 1, k))
+    if exact > est:
+        raise InconsistencyError(
+            f"sampled estimate {est} for {pair} is below the true value (at least {exact})"
+        )
     return exact
 
 
@@ -325,8 +327,8 @@ def capped_apvc_sampled(
 ) -> ConnectivityMatrix:
     """All-pairs min(kappa, k) by random terminal sampling.
 
-    With fallback, every requested pair is settled by one direct capped flow
-    whose cutoff is the sampled estimate, so the result is exactly
+    With fallback, every requested pair is settled by one direct flow capped
+    one above the sampled estimate, so the result is exactly
     min(kappa, k). Without fallback the raw estimates are returned: entrywise
     >= min(kappa, k) always, equal with high probability. `pairs` restricts
     the computation (other entries keep the cap value); `force` puts one

@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from .errors import VclabError
 from .flow import (
     ConnectivitySweep,
     cut_disconnects,
@@ -71,6 +72,12 @@ class SuiteResult:
         return out
 
 
+def _require_max_n(max_n: int, low: int) -> None:
+    """Every trial draws its size from [low, max_n], so that range must not be empty."""
+    if max_n < low:
+        raise VclabError(f"max instance size must be >= {low} for this suite, got {max_n}")
+
+
 def _record(res: SuiteResult, cond: bool, trial_seed: int, message: str, g: Graph) -> None:
     res.cases += 1
     if not cond:
@@ -79,6 +86,7 @@ def _record(res: SuiteResult, cond: bool, trial_seed: int, message: str, g: Grap
 
 def suite_flow(trials: int = 300, max_n: int = 7, seed: int = 0) -> SuiteResult:
     """Flow-based connectivity vs the subset-enumeration cut search."""
+    _require_max_n(max_n, 2)
     res = SuiteResult("flow")
     t0 = time.time()
     rng = random.Random(seed)
@@ -106,6 +114,7 @@ def suite_flow(trials: int = 300, max_n: int = 7, seed: int = 0) -> SuiteResult:
 
 def suite_gadget(trials: int = 200, max_n: int = 12, seed: int = 0) -> SuiteResult:
     """Additive isolation identity of the gadget, non-adjacent pairs only."""
+    _require_max_n(max_n, 2)
     res = SuiteResult("gadget")
     t0 = time.time()
     rng = random.Random(seed)
@@ -140,6 +149,7 @@ def _random_host(n6: int, allowed: list[int], p: float, rng: random.Random) -> G
 
 def suite_filter(trials: int = 100, max_n: int = 6, seed: int = 0) -> SuiteResult:
     """Additive offset identities of both filters, on random hosts."""
+    _require_max_n(max_n, 2)
     res = SuiteResult("filter")
     t0 = time.time()
     rng = random.Random(seed)
@@ -171,6 +181,7 @@ def suite_filter(trials: int = 100, max_n: int = 6, seed: int = 0) -> SuiteResul
 
 def suite_h_chain(trials: int = 50, max_n: int = 8, seed: int = 0) -> SuiteResult:
     """kappa_H(a, d) minus the witness core equals the fixed offset, all pairs."""
+    _require_max_n(max_n, 1)
     res = SuiteResult("h-chain")
     t0 = time.time()
     rng = random.Random(seed)
@@ -197,6 +208,7 @@ def suite_h_chain(trials: int = 50, max_n: int = 8, seed: int = 0) -> SuiteResul
 
 def suite_pipeline_apvc(trials: int = 200, max_n: int = 12, seed: int = 0) -> SuiteResult:
     """solve_4clique_via_apvc against the brute-force clique search."""
+    _require_max_n(max_n, 4)
     res = SuiteResult("pipeline-apvc")
     t0 = time.time()
     rng = random.Random(seed)
@@ -218,6 +230,7 @@ def suite_pipeline_apvc(trials: int = 200, max_n: int = 12, seed: int = 0) -> Su
 def suite_pipeline_steiner(trials: int = 200, max_n: int = 8, seed: int = 0) -> SuiteResult:
     """Steiner pipeline against the brute universal-4-clique check, plus the
     same-side and cross-pair floor bounds on every built J."""
+    _require_max_n(max_n, 2)
     res = SuiteResult("pipeline-steiner")
     t0 = time.time()
     rng = random.Random(seed)
@@ -267,6 +280,7 @@ def suite_sampler(
     With fallback: exact equality to entrywise min(kappa, k). Without:
     dominance is enforced and the empirical per-pair failure rate reported.
     """
+    _require_max_n(max_n, 5)
     res = SuiteResult("sampler")
     t0 = time.time()
     rng = random.Random(seed)

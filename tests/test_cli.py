@@ -130,6 +130,18 @@ def test_vc_sampled_same_bytes_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_vc_report_echoes_sampler_params_only_for_sampled(tmp_path, capsys):
+    path = write_graph(tmp_path, gen_gnp(10, 0.5, 4))
+    out = str(tmp_path / "m.tsv")
+    base = ["vc", "apvc", "--graph", path, "--threads", "1", "--out", out]
+    assert main(base + ["--algo", "fast"]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert "c" not in params and "fallback" not in params
+    assert main(base + ["--algo", "sampled", "--k", "2", "--seed", "1"]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params["c"] == 4.0 and params["fallback"] is True
+
+
 def test_vc_param_validation(tmp_path):
     path = p3_file(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -158,6 +170,21 @@ def test_vc_unreadable_graph_exit_2(tmp_path, capsys):
 def test_vc_bad_input_exit_2(tmp_path, capsys, argv):
     path = p3_file(tmp_path)
     assert main(["vc", argv[0], "--graph", path, "--threads", "1"] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "gnp", "--n", "5", "--p", "2"],
+    ["gen", "planted4", "--n", "3", "--p", "0.5"],
+    ["gen", "gnp", "--n", "-3", "--p", "0.5"],
+    ["verify", "flow", "--n", "1"],
+    ["gen", "gnp", "--n", "5", "--p", "0.5", "--seed", "1", "--out", "{missing}/x.txt"],
+])
+def test_gen_verify_out_bad_input_exit_2(tmp_path, capsys, argv):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from vclab.errors import QueryError
 from vclab.flow import (
     ConnectivitySweep,
     FlowNetwork,
+    _blocking_flow,
+    _sink_distances,
     build_element_network,
     build_vc_network,
     capped_element_connectivity,
@@ -108,6 +111,71 @@ def test_max_flow_on_hand_built_network():
     net.reset()
     value_again, _ = max_flow(net)
     assert value_again == 2
+
+
+def reference_max_flow(net, cutoff=None):
+    """One BFS augmenting path per unit of flow; the cut is the residual
+    source side left by the last, exhaustive BFS."""
+    cap, to, frm, adj = net.cap, net.to, net.frm, net.adj
+    value = 0
+    while True:
+        parent = {net.source: -1}
+        queue = deque([net.source])
+        while queue and net.sink not in parent:
+            x = queue.popleft()
+            for a in adj[x]:
+                if cap[a] > 0 and to[a] not in parent:
+                    parent[to[a]] = a
+                    queue.append(to[a])
+        if net.sink not in parent or value == cutoff:
+            break
+        x = net.sink
+        while x != net.source:
+            a = parent[x]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            x = frm[a]
+        value += 1
+    if value == cutoff:
+        return value, []
+    cut = [a for a in range(0, len(to), 2) if net.cap0[a] > 0 and frm[a] in parent and to[a] not in parent]
+    return value, cut
+
+
+@pytest.mark.parametrize("element", [False, True])
+def test_max_flow_matches_reference(element):
+    rng = random.Random(2024 + element)
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        g = gen_gnp(n, rng.choice((0.05, 0.15, 0.3, 0.6)), rng.randrange(10**6))
+        u, v = rng.sample(range(n), 2)
+        terminals = {u, v} | set(rng.sample(range(n), rng.randint(0, n)))
+        for cutoff in (None, rng.randint(1, max(1, n // 2))):
+            a, b = (
+                build_element_network(g, terminals, u, v) if element else build_vc_network(g, u, v)
+                for _ in range(2)
+            )
+            # identical cut arc lists pin byte-identical certificates
+            assert max_flow(a, cutoff) == reference_max_flow(b, cutoff)
+
+
+def test_dead_end_next_to_the_sink_is_pruned():
+    # s=0, a=1, b=2, c=3, d=4, t=5. The first path s-a-c-t fills c's only
+    # arc to the sink, so when b tries c next, c is a dead end one step from
+    # the sink; b must fall back to d.
+    def build():
+        net = FlowNetwork(6, source=0, sink=5)
+        for x, y in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 5), (2, 4), (4, 5)]:
+            net.add_arc(x, y, 1)
+        return net
+
+    net = build()
+    dist = _sink_distances(net)
+    assert dist == [3, 2, 2, 1, 1, 0]
+    assert _blocking_flow(net, dist, None) == 2
+    assert dist[3] == -1  # c was marked dead during the phase
+    assert _sink_distances(net)[0] == -1  # the flow is maximum
+    assert max_flow(build()) == reference_max_flow(build()) == (2, [0, 2])
 
 
 def test_max_flow_cutoff_stops_early():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vclab.errors import QueryError
-from vclab.flow import vertex_connectivity
+from vclab.errors import InconsistencyError, QueryError
+from vclab.flow import ConnectivitySweep, vertex_connectivity
 from vclab.graphs import Graph, gen_gnp
 from vclab.oracles import MIXED_CUT_MAX_M, all_pairs_brute, brute_mixed_cut
 from vclab.solvers import (
@@ -27,6 +27,7 @@ from vclab.solvers import (
     sample_set_count,
     ssvc,
     steiner_vc,
+    _verified_entry,
 )
 
 
@@ -176,6 +177,13 @@ def test_sampled_without_fallback_dominates():
             true, _ = vertex_connectivity(g, u, v)
             assert mat.entry(u, v) >= min(true, k)
             assert mat.entry(u, v) <= k
+
+
+def test_verified_entry_catches_an_undershoot():
+    sweep = ConnectivitySweep(k4())
+    assert _verified_entry(sweep, (0, 1), est=3, k=3) == 3
+    with pytest.raises(InconsistencyError):
+        _verified_entry(sweep, (0, 1), est=1, k=3)  # the true value is 3
 
 
 def test_sampled_pairs_restriction():
