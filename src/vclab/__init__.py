@@ -18,12 +18,7 @@ from .flow import (
     ConnectivitySweep,
     CutCertificate,
     FlowNetwork,
-    build_element_network,
-    build_vc_network,
-    capped_element_connectivity,
-    capped_vertex_connectivity,
     cut_disconnects,
-    element_connectivity,
     max_flow,
     vertex_connectivity,
     vertex_disjoint_paths,

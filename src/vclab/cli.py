@@ -270,6 +270,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     suite = SUITES[args.suite]
     kwargs: dict = {"seed": args.seed if args.seed is not None else 0}
     if args.seeds is not None:
+        if args.seeds < 1:
+            raise VclabError(f"--seeds must be >= 1, got {args.seeds}")
         kwargs["trials"] = args.seeds
     if args.n is not None:
         kwargs["max_n"] = args.n
@@ -306,10 +308,13 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     for algo in algos:
         if algo not in ("naive", "fast"):
             parser.error(f"unknown algo {algo!r}")
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+        graphs = [gen_gnp(n, args.p, seed + n) for n in sizes]
+    except ValueError as exc:
+        raise VclabError(f"bad --sizes or --p: {exc}") from None
     rows = ["problem\talgo\tn\tm\tseconds"]
-    for n in sizes:
-        g = gen_gnp(n, args.p, seed + n)
+    for n, g in zip(sizes, graphs):
         payloads = {}
         times = {}
         for algo in algos:

@@ -9,6 +9,11 @@ endpoints (or, for element connectivity, every terminal), which get capacity
 n so they can never be cut. Max flow from u_in to v_out then equals the
 minimum mixed cut, with no special case for adjacent endpoints.
 
+ConnectivitySweep builds this network once per graph and aims it at each
+query; every value, cut and path family in vclab comes from one of its
+queries. The arc layout is fixed, so an arc index alone names the graph
+element it stands for.
+
 "Unbounded" is encoded as n: no flow through a single vertex can exceed its
 degree, which is below n, so capacity n never binds.
 """
@@ -22,21 +27,14 @@ from typing import Iterable
 from .errors import QueryError
 from .graphs import Edge, EdgeSet, Graph
 
-# Arc origins, for translating a min cut back to graph elements.
-VERT = "v"
-EDGE = "e"
-
-
 class FlowNetwork:
     """Directed flow network with paired reverse arcs.
 
     Arcs are appended in (forward, reverse) pairs, so arc i and arc i^1 are
-    partners and every forward arc has an even index. `origin[i]` records the
-    graph element a forward arc stands for: (VERT, v) for an internal arc,
-    (EDGE, (u, v)) for an edge arc, None for reverse arcs.
+    partners and every forward arc has an even index.
     """
 
-    __slots__ = ("num_nodes", "source", "sink", "frm", "to", "cap", "cap0", "adj", "origin")
+    __slots__ = ("num_nodes", "source", "sink", "frm", "to", "cap", "cap0", "adj")
 
     def __init__(self, num_nodes: int, source: int, sink: int):
         self.num_nodes = num_nodes
@@ -47,15 +45,13 @@ class FlowNetwork:
         self.cap: list[int] = []
         self.cap0: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
-        self.origin: list[tuple[str, object] | None] = []
 
-    def add_arc(self, u: int, v: int, capacity: int, origin: tuple[str, object] | None = None) -> int:
+    def add_arc(self, u: int, v: int, capacity: int) -> int:
         i = len(self.to)
         self.frm += [u, v]
         self.to += [v, u]
         self.cap += [capacity, 0]
         self.cap0 += [capacity, 0]
-        self.origin += [origin, None]
         self.adj[u].append(i)
         self.adj[v].append(i + 1)
         return i
@@ -65,14 +61,21 @@ class FlowNetwork:
         self.cap[:] = self.cap0
 
     def validate(self, big: int) -> None:
-        """Assert the structural invariants (paired arcs, capacity alphabet)."""
-        assert len(self.to) % 2 == 0
-        for i in range(0, len(self.to), 2):
+        """Assert the split-network invariants: paired arcs, the capacity
+        alphabet, and the layout (arc 2v is v's internal arc, then two
+        mirrored arcs per edge)."""
+        arcs, inner = len(self.to), self.num_nodes
+        assert arcs >= inner and (arcs - inner) % 4 == 0
+        for i in range(0, arcs, 2):
             assert self.frm[i] == self.to[i + 1] and self.to[i] == self.frm[i + 1]
-            assert self.cap0[i + 1] == 0 and self.origin[i + 1] is None
+            assert self.cap0[i + 1] == 0
             assert self.cap0[i] in (1, big), f"arc {i} capacity {self.cap0[i]}"
-        internal = [i for i in range(0, len(self.to), 2) if self.origin[i] and self.origin[i][0] == VERT]
-        assert len(internal) == self.num_nodes // 2, "one internal arc per split vertex"
+            if i < inner:
+                assert (self.frm[i], self.to[i]) == (i, i + 1), f"arc {i} is not internal"
+        for i in range(inner, arcs, 4):
+            assert self.cap0[i] == self.cap0[i + 2] == 1
+            assert self.frm[i] % 2 == 1 and self.to[i] % 2 == 0, f"arc {i} is not out -> in"
+            assert (self.frm[i] - 1, self.to[i] + 1) == (self.to[i + 2], self.frm[i + 2])
 
 
 @dataclass(frozen=True)
@@ -94,34 +97,61 @@ def _require_pair(g: Graph, u: int, v: int) -> None:
         raise QueryError(f"query endpoints must differ, got {u}")
 
 
-def _build_split_network(g: Graph, s: int, t: int, uncuttable: Iterable[int]) -> FlowNetwork:
+def _build_split_network(g: Graph, uncuttable: frozenset[int]) -> FlowNetwork:
+    """The split network of g. Arc 2v is v's internal arc v_in -> v_out; after
+    them, edge g.edges()[i] owns the forward arcs 2n + 4i (u_out -> v_in) and
+    2n + 4i + 2 (v_out -> u_in)."""
     big = max(g.n, 2)
-    net = FlowNetwork(2 * g.n, source=2 * s, sink=2 * t + 1)
-    strong = set(uncuttable)
+    net = FlowNetwork(2 * g.n, source=0, sink=1)
     for v in range(g.n):
-        net.add_arc(2 * v, 2 * v + 1, big if v in strong else 1, (VERT, v))
+        net.add_arc(2 * v, 2 * v + 1, big if v in uncuttable else 1)
     for u, v in g.edges():
-        net.add_arc(2 * u + 1, 2 * v, 1, (EDGE, (u, v)))
-        net.add_arc(2 * v + 1, 2 * u, 1, (EDGE, (u, v)))
+        net.add_arc(2 * u + 1, 2 * v, 1)
+        net.add_arc(2 * v + 1, 2 * u, 1)
     return net
 
 
-def build_vc_network(g: Graph, s: int, t: int) -> FlowNetwork:
-    """Network whose max flow is the mixed-cut vertex connectivity of (s, t)."""
-    _require_pair(g, s, t)
-    return _build_split_network(g, s, t, (s, t))
+class ConnectivitySweep:
+    """Every connectivity query against one graph, on one split network.
 
+    This is the only code that builds or aims a connectivity network. The
+    arcs are built once. A vertex-mode query makes its two endpoints
+    uncuttable and the previous query's endpoints cuttable again; in element
+    mode every terminal is uncuttable from the start, and a query only
+    retargets source and sink. After a query, `net` holds that query's
+    capacities and residual flow, so a cut or a path family can be read off
+    it.
+    """
 
-def build_element_network(g: Graph, terminals: Iterable[int], s: int, t: int) -> FlowNetwork:
-    """Like build_vc_network, but every terminal is uncuttable."""
-    term = set(terminals)
-    _require_pair(g, s, t)
-    if s not in term or t not in term:
-        raise QueryError("both endpoints must be terminals")
-    for v in term:
-        if not 0 <= v < g.n:
-            raise QueryError(f"terminal {v} out of range for n={g.n}")
-    return _build_split_network(g, s, t, term)
+    def __init__(self, g: Graph, terminals: Iterable[int] | None = None):
+        self.g = g
+        self.big = max(g.n, 2)
+        self.terminals = None if terminals is None else frozenset(terminals)
+        if self.terminals is not None:
+            for x in self.terminals:
+                if not 0 <= x < g.n:
+                    raise QueryError(f"terminal {x} out of range for n={g.n}")
+        self.net = _build_split_network(g, self.terminals or frozenset())
+        self._ends: tuple[int, ...] = ()  # vertex mode: the endpoints now uncuttable
+
+    def query(self, u: int, v: int, cutoff: int | None = None) -> int:
+        """kappa(u, v), or kappa'(u, v) in element mode; with a cutoff,
+        min(value, cutoff), stopping augmentation there."""
+        _require_pair(self.g, u, v)
+        if cutoff is not None and cutoff < 0:
+            raise QueryError(f"cutoff must be >= 0, got {cutoff}")
+        net = self.net
+        if self.terminals is None:
+            cap0 = net.cap0
+            for w in self._ends:
+                cap0[2 * w] = 1
+            cap0[2 * u] = cap0[2 * v] = self.big
+            self._ends = (u, v)
+        elif u not in self.terminals or v not in self.terminals:
+            raise QueryError("both endpoints must be terminals")
+        net.source, net.sink = 2 * u, 2 * v + 1
+        net.reset()
+        return _dinic(net, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +247,9 @@ def _dinic(net: FlowNetwork, cutoff: int | None = None) -> int:
     return value
 
 
-def _residual_source_side(net: FlowNetwork) -> list[bool]:
+def _min_cut(net: FlowNetwork, value: int) -> list[int]:
+    """The forward arcs leaving the residual source side, sorted. After a
+    maximum flow of `value` units they are a minimum cut of that capacity."""
     seen = [False] * net.num_nodes
     seen[net.source] = True
     queue = deque([net.source])
@@ -228,7 +260,13 @@ def _residual_source_side(net: FlowNetwork) -> list[bool]:
             if cap[a] > 0 and not seen[to[a]]:
                 seen[to[a]] = True
                 queue.append(to[a])
-    return seen
+    cut = [
+        a
+        for a in range(0, len(net.to), 2)
+        if net.cap0[a] > 0 and seen[net.frm[a]] and not seen[net.to[a]]
+    ]
+    assert sum(net.cap0[a] for a in cut) == value, "cut capacity must equal flow value"
+    return cut
 
 
 def max_flow(net: FlowNetwork, cutoff: int | None = None) -> tuple[int, list[int]]:
@@ -241,14 +279,7 @@ def max_flow(net: FlowNetwork, cutoff: int | None = None) -> tuple[int, list[int
     value = _dinic(net, cutoff)
     if cutoff is not None and value >= cutoff:
         return value, []
-    seen = _residual_source_side(net)
-    cut = [
-        a
-        for a in range(0, len(net.to), 2)
-        if net.cap0[a] > 0 and seen[net.frm[a]] and not seen[net.to[a]]
-    ]
-    assert sum(net.cap0[a] for a in cut) == value, "cut capacity must equal flow value"
-    return value, cut
+    return value, _min_cut(net, value)
 
 
 def _prefer_internal_arcs(net: FlowNetwork, cut: list[int], endpoints: tuple[int, int]) -> list[int]:
@@ -260,22 +291,17 @@ def _prefer_internal_arcs(net: FlowNetwork, cut: list[int], endpoints: tuple[int
     internal arc). The swapped set is therefore still a minimum cut, but one
     that names vertices wherever the mixed-cut definition allows it.
     """
-    refined: list[int] = []
-    taken: set[int] = set()
+    # internal arcs are the first num_nodes arcs of a split network
+    refined = [a for a in cut if a < net.num_nodes]
+    taken = set(refined)
     for a in cut:
-        origin = net.origin[a]
-        if origin is not None and origin[0] == VERT:
-            refined.append(a)
-            taken.add(a)
-    for a in cut:
-        origin = net.origin[a]
-        if origin is not None and origin[0] == VERT:
+        if a < net.num_nodes:
             continue
         head = net.to[a] // 2
         tail = net.frm[a] // 2
         swapped = False
         for w in (head, tail):
-            internal = 2 * w  # vertex arcs are added first, one pair per vertex
+            internal = 2 * w
             if w not in endpoints and internal not in taken:
                 refined.append(internal)
                 taken.add(internal)
@@ -286,53 +312,29 @@ def _prefer_internal_arcs(net: FlowNetwork, cut: list[int], endpoints: tuple[int
     return sorted(refined)
 
 
-def _cut_to_certificate(net: FlowNetwork, cut: list[int], value: int, endpoints: tuple[int, int]) -> CutCertificate:
+def _cut_to_certificate(g: Graph, cut: list[int], value: int, endpoints: tuple[int, int]) -> CutCertificate:
+    """Name the graph elements of a split-network cut by the arc layout."""
+    inner = 2 * g.n
+    edges = g.edges()
     verts: set[int] = set()
-    edges: list[Edge] = []
+    cut_edges: list[Edge] = []
     for a in cut:
-        origin = net.origin[a]
-        assert origin is not None, "reverse arc in cut"
-        kind, item = origin
-        if kind == VERT:
-            assert item not in endpoints, "endpoint internal arc in a minimum cut"
-            verts.add(item)  # type: ignore[arg-type]
+        assert a % 2 == 0, "reverse arc in cut"
+        if a < inner:
+            assert a // 2 not in endpoints, "endpoint internal arc in a minimum cut"
+            verts.add(a // 2)
         else:
-            edges.append(item)  # type: ignore[arg-type]
-    assert len(edges) == len(set(edges)), "edge counted twice in one cut"
-    return CutCertificate(frozenset(verts), EdgeSet.of(edges), value)
+            cut_edges.append(edges[(a - inner) // 4])
+    assert len(cut_edges) == len(set(cut_edges)), "edge counted twice in one cut"
+    return CutCertificate(frozenset(verts), EdgeSet.of(cut_edges), value)
 
 
 def vertex_connectivity(g: Graph, u: int, v: int) -> tuple[int, CutCertificate]:
     """kappa_G(u, v) with a mixed-cut certificate of the same size."""
-    net = build_vc_network(g, u, v)
-    value, cut = max_flow(net)
-    cut = _prefer_internal_arcs(net, cut, (u, v))
-    return value, _cut_to_certificate(net, cut, value, (u, v))
-
-
-def element_connectivity(g: Graph, terminals: Iterable[int], u: int, v: int) -> int:
-    """kappa'_{G,U}(u, v): only edges and non-terminal vertices are cuttable."""
-    net = build_element_network(g, terminals, u, v)
-    value, _ = max_flow(net)
-    return value
-
-
-def capped_vertex_connectivity(g: Graph, u: int, v: int, cap: int) -> int:
-    """min(kappa_G(u, v), cap), stopping augmentation at the cap."""
-    if cap < 1:
-        raise QueryError(f"cap must be >= 1, got {cap}")
-    net = build_vc_network(g, u, v)
-    value, _ = max_flow(net, cutoff=cap)
-    return value
-
-
-def capped_element_connectivity(g: Graph, terminals: Iterable[int], u: int, v: int, cap: int) -> int:
-    """min(kappa'_{G,U}(u, v), cap)."""
-    if cap < 1:
-        raise QueryError(f"cap must be >= 1, got {cap}")
-    net = build_element_network(g, terminals, u, v)
-    value, _ = max_flow(net, cutoff=cap)
-    return value
+    sweep = ConnectivitySweep(g)
+    value = sweep.query(u, v)
+    cut = _prefer_internal_arcs(sweep.net, _min_cut(sweep.net, value), (u, v))
+    return value, _cut_to_certificate(g, cut, value, (u, v))
 
 
 def cut_disconnects(g: Graph, u: int, v: int, cert: CutCertificate) -> bool:
@@ -364,14 +366,14 @@ def vertex_disjoint_paths(g: Graph, u: int, v: int) -> list[list[int]]:
     Any flow cycles left over by augmentation are cancelled on the fly, so
     every walk terminates at the sink.
     """
-    net = build_vc_network(g, u, v)
-    value = _dinic(net)
+    sweep = ConnectivitySweep(g)
+    value = sweep.query(u, v)
+    net = sweep.net
     used = [net.cap0[a] - net.cap[a] for a in range(len(net.to))]
     paths: list[list[int]] = []
     for _ in range(value):
         walk = [net.source]
         pos = {net.source: 0}
-        walk_arcs: list[int] = []
         while walk[-1] != net.sink:
             x = walk[-1]
             for a in net.adj[x]:
@@ -388,51 +390,8 @@ def vertex_disjoint_paths(g: Graph, u: int, v: int) -> list[list[int]]:
                 for dead in walk[i + 1:]:
                     del pos[dead]
                 del walk[i + 1:]
-                del walk_arcs[i:]
             else:
                 pos[y] = len(walk)
                 walk.append(y)
-                walk_arcs.append(a)
         paths.append([node // 2 for node in walk[::2]])
     return paths
-
-
-class ConnectivitySweep:
-    """Reusable template for many connectivity queries against one graph.
-
-    Building the arc structure dominates a single query on small graphs;
-    this builds it once and, between queries, only rewrites the two endpoint
-    capacities (vertex mode) or just retargets source and sink (element
-    mode, where all terminals are already uncuttable).
-    """
-
-    def __init__(self, g: Graph, terminals: Iterable[int] | None = None):
-        self.g = g
-        self.big = max(g.n, 2)
-        self.terminals = None if terminals is None else frozenset(terminals)
-        if self.terminals is not None:
-            for x in self.terminals:
-                if not 0 <= x < g.n:
-                    raise QueryError(f"terminal {x} out of range for n={g.n}")
-        strong = self.terminals or ()
-        self.net = _build_split_network(g, 0, 0, strong)
-        # internal arc of vertex v is arc 2v by construction order
-        self._internal = [2 * v for v in range(g.n)]
-
-    def query(self, u: int, v: int, cutoff: int | None = None) -> int:
-        _require_pair(self.g, u, v)
-        net = self.net
-        if self.terminals is None:
-            au, av = self._internal[u], self._internal[v]
-            net.cap0[au] = net.cap0[av] = self.big
-            try:
-                net.source, net.sink = 2 * u, 2 * v + 1
-                net.reset()
-                return _dinic(net, cutoff)
-            finally:
-                net.cap0[au] = net.cap0[av] = 1
-        if u not in self.terminals or v not in self.terminals:
-            raise QueryError("both endpoints must be terminals")
-        net.source, net.sink = 2 * u, 2 * v + 1
-        net.reset()
-        return _dinic(net, cutoff)

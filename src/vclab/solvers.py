@@ -16,7 +16,8 @@ Three layers:
 
 Every randomized routine takes an explicit seed, and each sample set gets
 its own derived RNG, so serial and parallel runs draw identical sets. All
-pooled work goes through one fan-out helper over worker processes.
+pooled work goes through one fan-out helper, which hands the graph object
+and a chunk of jobs to each worker process.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import InconsistencyError, QueryError
 from .flow import ConnectivitySweep
-from .graphs import Edge, Graph, canonical_edge, emit_graph, parse_graph
+from .graphs import Edge, Graph, canonical_edge
 
 DIAG = -1  # diagonal sentinel: kappa(v, v) is undefined
 
@@ -151,6 +152,7 @@ _MIN_POOLED_QUERIES = 32
 
 
 def _run_jobs(g: Graph, jobs: Sequence[Job]) -> list[list[int]]:
+    """Each job's query values, one sweep per job; a pool worker's whole task."""
     out = []
     for terminals, pairs, cutoff in jobs:
         sweep = ConnectivitySweep(g, terminals=terminals)
@@ -158,24 +160,19 @@ def _run_jobs(g: Graph, jobs: Sequence[Job]) -> list[list[int]]:
     return out
 
 
-def _jobs_worker(payload: tuple[str, list[Job]]) -> list[list[int]]:
-    text, jobs = payload
-    return _run_jobs(parse_graph(text), jobs)
-
-
 def _fan_out(g: Graph, jobs: Sequence[Job], threads: int) -> list[list[int]]:
     """Each job's query values, in job order.
 
-    Jobs are dealt round-robin over `threads` worker processes; each worker
-    parses the graph once and runs its jobs in turn.
+    Jobs are dealt round-robin over `threads` worker processes. Each worker
+    receives the graph itself (a Graph is immutable and pickles) with its
+    chunk of jobs, and runs them in turn with `_run_jobs`.
     """
     if threads <= 1 or sum(len(job[1]) for job in jobs) < _MIN_POOLED_QUERIES:
         return _run_jobs(g, jobs)
-    text = emit_graph(g)
     chunks = [jobs[i::threads] for i in range(min(threads, len(jobs)))]
     out: list[list[int]] = [[] for _ in jobs]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for i, part in enumerate(pool.map(_jobs_worker, [(text, ch) for ch in chunks])):
+        for i, part in enumerate(pool.map(_run_jobs, [g] * len(chunks), chunks)):
             out[i::threads] = part
     return out
 

@@ -13,12 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import VclabError
-from .flow import (
-    ConnectivitySweep,
-    cut_disconnects,
-    element_connectivity,
-    vertex_connectivity,
-)
+from .flow import ConnectivitySweep, cut_disconnects, vertex_connectivity
 from .graphs import Graph, emit_graph, gen_gnp, gen_planted_4clique
 from .oracles import (
     brute_4clique,
@@ -104,7 +99,7 @@ def suite_flow(trials: int = 300, max_n: int = 7, seed: int = 0) -> SuiteResult:
         _record(res, kappa == ref, trial_seed, f"vertex kappa({u},{v}) {kappa} != brute {ref}", g)
         _record(res, cut_disconnects(g, u, v, cert), trial_seed, f"certificate for ({u},{v}) fails to disconnect", g)
         terms = set(sub.sample(range(n), sub.randint(2, n))) | {u, v}
-        ke = element_connectivity(g, terms, u, v)
+        ke = ConnectivitySweep(g, terms).query(u, v)
         refe = brute_mixed_cut(g, u, v, terminals=terms)
         _record(res, ke == refe, trial_seed, f"element kappa'({u},{v}) {ke} != brute {refe} (U={sorted(terms)})", g)
         done += 1

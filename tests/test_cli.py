@@ -181,6 +181,9 @@ def test_vc_bad_input_exit_2(tmp_path, capsys, argv):
     ["gen", "gnp", "--n", "-3", "--p", "0.5"],
     ["verify", "flow", "--n", "1"],
     ["gen", "gnp", "--n", "5", "--p", "0.5", "--seed", "1", "--out", "{missing}/x.txt"],
+    ["verify", "flow", "--seeds", "-1"],
+    ["bench", "apvc", "--sizes", "abc"],
+    ["bench", "apvc", "--sizes", "6", "--p", "2"],
 ])
 def test_gen_verify_out_bad_input_exit_2(tmp_path, capsys, argv):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]

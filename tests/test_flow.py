@@ -12,12 +12,7 @@ from vclab.flow import (
     FlowNetwork,
     _blocking_flow,
     _sink_distances,
-    build_element_network,
-    build_vc_network,
-    capped_element_connectivity,
-    capped_vertex_connectivity,
     cut_disconnects,
-    element_connectivity,
     max_flow,
     vertex_connectivity,
     vertex_disjoint_paths,
@@ -47,6 +42,13 @@ def k4():
 
 def c4():
     return Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def aimed(g, u, v, terminals=None):
+    """A sweep's network aimed at (u, v), with no flow routed yet."""
+    sweep = ConnectivitySweep(g, terminals)
+    assert sweep.query(u, v, cutoff=0) == 0
+    return sweep.net
 
 
 def test_vertex_connectivity_pinned():
@@ -83,13 +85,18 @@ def test_query_guards():
         vertex_connectivity(p3(), 1, 1)
     with pytest.raises(QueryError):
         vertex_connectivity(p3(), 0, 5)
+    sweep = ConnectivitySweep(p3())
     with pytest.raises(QueryError):
-        capped_vertex_connectivity(p3(), 0, 2, 0)
+        sweep.query(0, 2, cutoff=-1)
+    # a zero cutoff is a valid query that routes nothing
+    assert sweep.query(0, 2, cutoff=0) == 0
+    with pytest.raises(QueryError):
+        ConnectivitySweep(p3(), (0, 2)).query(0, 2, cutoff=-1)
 
 
 def test_split_network_shape():
     g = p3()
-    net = build_vc_network(g, 0, 2)
+    net = aimed(g, 0, 2)
     net.validate(big=max(g.n, 2))
     # one internal arc per vertex plus two directed arcs per edge
     assert len(net.to) == 2 * (g.n + 2 * g.m)
@@ -97,14 +104,37 @@ def test_split_network_shape():
     for i in range(0, len(net.to), 2):
         assert net.to[i + 1] == net.frm[i] and net.frm[i + 1] == net.to[i]
         assert net.cap0[i + 1] == 0
+    # arc 2v is v's internal arc; edge i owns arcs 2n + 4i and 2n + 4i + 2
+    for v in range(g.n):
+        assert (net.frm[2 * v], net.to[2 * v]) == (2 * v, 2 * v + 1)
+    for i, (x, y) in enumerate(g.edges()):
+        a = 2 * g.n + 4 * i
+        assert (net.frm[a], net.to[a]) == (2 * x + 1, 2 * y)
+        assert (net.frm[a + 2], net.to[a + 2]) == (2 * y + 1, 2 * x)
+
+
+def test_sweep_net_holds_the_last_query():
+    g = k4()
+    sweep = ConnectivitySweep(g)
+
+    def internal():
+        return [sweep.net.cap0[2 * v] for v in range(g.n)]
+
+    assert sweep.query(0, 3) == 3
+    assert internal() == [4, 1, 1, 4]
+    assert (sweep.net.source, sweep.net.sink) == (0, 7)
+    # the routed flow stays in the residual capacities
+    assert sweep.net.cap != sweep.net.cap0
+    assert sweep.query(1, 2, cutoff=1) == 1
+    assert internal() == [1, 4, 4, 1]
 
 
 def test_max_flow_on_hand_built_network():
     net = FlowNetwork(4, source=0, sink=3)
-    a = net.add_arc(0, 1, 2, origin=None)
-    net.add_arc(1, 3, 1, origin=None)
-    net.add_arc(0, 2, 1, origin=None)
-    net.add_arc(2, 3, 2, origin=None)
+    a = net.add_arc(0, 1, 2)
+    net.add_arc(1, 3, 1)
+    net.add_arc(0, 2, 1)
+    net.add_arc(2, 3, 2)
     value, cut = max_flow(net)
     assert value == 2
     assert a not in cut  # arc 0->1 has residual room
@@ -151,10 +181,7 @@ def test_max_flow_matches_reference(element):
         u, v = rng.sample(range(n), 2)
         terminals = {u, v} | set(rng.sample(range(n), rng.randint(0, n)))
         for cutoff in (None, rng.randint(1, max(1, n // 2))):
-            a, b = (
-                build_element_network(g, terminals, u, v) if element else build_vc_network(g, u, v)
-                for _ in range(2)
-            )
+            a, b = (aimed(g, u, v, terminals if element else None) for _ in range(2))
             # identical cut arc lists pin byte-identical certificates
             assert max_flow(a, cutoff) == reference_max_flow(b, cutoff)
 
@@ -179,7 +206,7 @@ def test_dead_end_next_to_the_sink_is_pruned():
 
 
 def test_max_flow_cutoff_stops_early():
-    net = build_vc_network(k4(), 0, 3)
+    net = aimed(k4(), 0, 3)
     value, cut = max_flow(net, cutoff=2)
     assert value == 2
     assert cut == []
@@ -242,10 +269,10 @@ def test_path_packing(gp):
 
 
 def test_capped_queries():
-    assert capped_vertex_connectivity(k4(), 0, 3, 2) == 2
-    assert capped_vertex_connectivity(k4(), 0, 3, 3) == 3
-    assert capped_vertex_connectivity(k4(), 0, 3, 50) == 3
-    assert capped_vertex_connectivity(p3(), 0, 2, 5) == 1
+    assert ConnectivitySweep(k4()).query(0, 3, cutoff=2) == 2
+    assert ConnectivitySweep(k4()).query(0, 3, cutoff=3) == 3
+    assert ConnectivitySweep(k4()).query(0, 3, cutoff=50) == 3
+    assert ConnectivitySweep(p3()).query(0, 2, cutoff=5) == 1
 
 
 def test_capped_matches_min_of_true_value_and_cap():
@@ -256,19 +283,19 @@ def test_capped_matches_min_of_true_value_and_cap():
         u, v = rng.sample(range(n), 2)
         cap = rng.randint(1, n)
         true, _ = vertex_connectivity(g, u, v)
-        assert capped_vertex_connectivity(g, u, v, cap) == min(true, cap)
+        assert ConnectivitySweep(g).query(u, v, cutoff=cap) == min(true, cap)
 
 
 def test_element_connectivity_pinned():
     g = p3()
-    assert element_connectivity(g, (0, 1, 2), 0, 2) == 1
-    assert element_connectivity(g, (0, 2), 0, 2) == 1
+    assert ConnectivitySweep(g, (0, 1, 2)).query(0, 2) == 1
+    assert ConnectivitySweep(g, (0, 2)).query(0, 2) == 1
     k = k4()
-    assert element_connectivity(k, tuple(range(4)), 0, 3) == 3
+    assert ConnectivitySweep(k, tuple(range(4))).query(0, 3) == 3
     with pytest.raises(QueryError):
-        element_connectivity(g, (0, 1), 0, 2)
+        ConnectivitySweep(g, (0, 1)).query(0, 2)
     with pytest.raises(QueryError):
-        capped_element_connectivity(g, (0, 2), 0, 2, 0)
+        ConnectivitySweep(g, (0, 2)).query(0, 2, cutoff=-1)
 
 
 def test_element_when_terminals_are_the_pair():
@@ -277,7 +304,7 @@ def test_element_when_terminals_are_the_pair():
         n = rng.randint(2, 7)
         g = gen_gnp(n, rng.uniform(0.2, 0.9), rng.randrange(10**6))
         u, v = rng.sample(range(n), 2)
-        assert element_connectivity(g, (u, v), u, v) == vertex_connectivity(g, u, v)[0]
+        assert ConnectivitySweep(g, (u, v)).query(u, v) == vertex_connectivity(g, u, v)[0]
 
 
 def test_element_dominates_vertex_connectivity():
@@ -287,7 +314,7 @@ def test_element_dominates_vertex_connectivity():
         g = gen_gnp(n, rng.uniform(0.2, 0.9), rng.randrange(10**6))
         terminals = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
         u, v = rng.sample(terminals, 2)
-        ec = element_connectivity(g, terminals, u, v)
+        ec = ConnectivitySweep(g, terminals).query(u, v)
         vc, _ = vertex_connectivity(g, u, v)
         assert ec >= vc
         if g.m <= MIXED_CUT_MAX_M:
@@ -296,7 +323,7 @@ def test_element_dominates_vertex_connectivity():
 
 def test_element_network_protects_terminals():
     g = p3()
-    net = build_element_network(g, (0, 1, 2), 0, 2)
+    net = aimed(g, 0, 2, terminals=(0, 1, 2))
     big = max(g.n, 2)
     net.validate(big=big)
     caps = [net.cap0[i] for i in range(0, len(net.to), 2)]
@@ -313,7 +340,7 @@ def test_sweep_matches_fresh_queries():
             u, v = rng.sample(range(n), 2)
             assert sweep.query(u, v) == vertex_connectivity(g, u, v)[0]
         u, v = rng.sample(range(n), 2)
-        assert sweep.query(u, v, cutoff=1) == capped_vertex_connectivity(g, u, v, 1)
+        assert sweep.query(u, v, cutoff=1) == min(vertex_connectivity(g, u, v)[0], 1)
 
 
 def test_sweep_element_mode():
@@ -325,4 +352,6 @@ def test_sweep_element_mode():
         sweep = ConnectivitySweep(g, terminals=terminals)
         for _ in range(4):
             u, v = rng.sample(terminals, 2)
-            assert sweep.query(u, v) == element_connectivity(g, terminals, u, v)
+            assert sweep.query(u, v) == ConnectivitySweep(g, terminals).query(u, v)
+            if g.m <= MIXED_CUT_MAX_M:
+                assert sweep.query(u, v) == brute_mixed_cut(g, u, v, terminals=terminals)

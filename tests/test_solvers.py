@@ -116,6 +116,9 @@ def test_global_and_steiner():
 def test_steiner_cutoff():
     g = k4()
     assert steiner_vc(g, (0, 1, 2), cutoff=2) == 2
+    assert steiner_vc(g, (0, 1, 2), cutoff=0) == 0
+    with pytest.raises(QueryError):
+        steiner_vc(gen_gnp(30, 0.5, 1), [0, 1, 2], cutoff=-3)
 
 
 def test_degree_split():
