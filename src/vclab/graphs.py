@@ -7,10 +7,12 @@ constructions) lives in LabeledInstance, keeping every solver oblivious to it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import GraphParseError
 
@@ -21,6 +23,21 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _reject_first_bad_edge(n: int, edges: Sequence[Edge]) -> NoReturn:
+    """Raise the ValueError naming the first edge that Graph.from_edges rejects."""
+    seen: set[Edge] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = canonical_edge(u, v)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+    raise AssertionError("every edge is valid")
+
+
 class Graph:
     """Simple undirected unweighted graph with sorted per-vertex neighbor lists."""
 
@@ -28,35 +45,35 @@ class Graph:
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
         self.n = n
-        self._adj = tuple(tuple(nbrs) for nbrs in adj)
-        self._adjsets = tuple(frozenset(nbrs) for nbrs in self._adj)
-        self.m = sum(len(nbrs) for nbrs in self._adj) // 2
+        self._adj = tuple(map(tuple, adj))
+        self._adjsets = tuple(map(frozenset, self._adj))
+        self.m = sum(map(len, self._adj)) // 2
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
         """Build a graph from an edge collection.
 
         Rejects a negative vertex count, self-loops, duplicate edges (in
-        either orientation), and out-of-range endpoints.
+        either orientation), and out-of-range endpoints; the error names the
+        first bad edge in input order.
         """
         if n < 0:
             raise ValueError(f"need n >= 0, got {n}")
+        edges = list(edges)
         adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[Edge] = set()
+        append = [nbrs.append for nbrs in adj]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = canonical_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            adj[u].append(v)
-            adj[v].append(u)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                _reject_first_bad_edge(n, edges)
+            append[u](v)
+            append[v](u)
         for nbrs in adj:
             nbrs.sort()
-        return cls(n, adj)
+        g = cls(n, adj)
+        # a duplicate edge shrinks its endpoints' neighbor sets below their lists
+        if sum(map(len, g._adjsets)) != 2 * len(edges):
+            _reject_first_bad_edge(n, edges)
+        return g
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -171,12 +188,18 @@ class LabeledInstance:
         norm = {tag: tuple(sorted(vs)) for tag, vs in groups.items()}
         claimed: set[int] = set()
         for tag, vs in norm.items():
+            if vs and not (0 <= vs[0] and vs[-1] < graph.n):
+                raise ValueError(f"group {tag!r} has a vertex outside 0..{graph.n - 1}")
+            if len(set(vs)) != len(vs):
+                raise ValueError(f"group {tag!r} lists a vertex twice")
             overlap = claimed.intersection(vs)
             if overlap:
                 raise ValueError(f"group {tag!r} overlaps earlier groups on {sorted(overlap)}")
             claimed.update(vs)
         leftovers = [v for v in range(graph.n) if v not in claimed]
         if leftovers:
+            if "plain" in norm:
+                raise ValueError(f"vertices {leftovers} are in no group, and group 'plain' is taken")
             norm["plain"] = tuple(leftovers)
         inst = cls(graph, norm, meta or {})
         inst.validate()
@@ -203,7 +226,60 @@ class LabeledInstance:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse an edge-list document; errors name the offending line (1-based)."""
+    """Parse an edge-list document; errors name the offending line (1-based).
+
+    A canonical document, as emit_graph writes it, is tokenised in one bulk
+    pass. Any other document, and a canonical-looking one that fails a check,
+    goes to the line parser, the only code that accepts other spacing or
+    names an error.
+    """
+    g = _parse_canonical(text)
+    return g if g is not None else _parse_lines(text)
+
+
+_CANONICAL_HEADER = re.compile(r"[0-9]+ [0-9]+")
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of a document whose edge lines are all "u v\n" in ASCII
+    digits, or None when the document is not of that form or not valid."""
+    head, _, body = text.partition("\n")
+    if not _CANONICAL_HEADER.fullmatch(head):
+        return None
+    n, m = (int(tok) for tok in head.split())
+    if body.startswith("%"):
+        body = ""
+    elif (cut := body.find("\n%")) >= 0:
+        body = body[: cut + 1]
+    if not body:
+        return Graph.from_edges(n, []) if m == 0 else None
+    # deferred: a module-level import here loads numpy before the rest of
+    # vclab, which measured slower to import
+    import numpy as np
+
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    seps = np.flatnonzero((raw < 48) | (raw > 57))  # every byte but an ASCII digit
+    # canonical lines: separators alternate space, newline, with a digit run
+    # before each, and the last one ends the body
+    if not (
+        m > 0
+        and len(seps) == 2 * m
+        and seps[0] > 0
+        and seps[-1] == len(raw) - 1
+        and (raw[seps[0::2]] == 32).all()
+        and (raw[seps[1::2]] == 10).all()
+        and (np.diff(seps) > 1).all()
+    ):
+        return None
+    tokens = np.fromstring(body, dtype=np.int64, sep=" ").tolist()
+    try:
+        return Graph.from_edges(n, zip(tokens[0::2], tokens[1::2]))
+    except ValueError:
+        return None
+
+
+def _parse_lines(text: str) -> Graph:
+    """The line-by-line parser behind parse_graph."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise GraphParseError("missing header", line=1)
@@ -247,16 +323,33 @@ def parse_graph(text: str) -> Graph:
 
 def emit_graph(g: Graph) -> str:
     """Serialize to the canonical edge-list document (round-trips bit-exactly)."""
+    names = [str(v) for v in range(g.n)]
     out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        head = names[u] + " "
+        out += [head + names[v] for v in nbrs[bisect.bisect_right(nbrs, u) :]]
     return "\n".join(out) + "\n"
+
+
+def section_lines(text: str, marker: str) -> tuple[list[str], Callable[[int], int]]:
+    """The lines of `text` from the one holding the first `marker` on, and a
+    map from a 1-based position among them to the line number in `text`.
+
+    No earlier line contains `marker`, so a reader looking for that section
+    header can start here instead of walking the edge list.
+    """
+    at = text.find(marker)
+    start = len(text) if at < 0 else text.rfind("\n", 0, at) + 1
+    return text[start:].splitlines(), lambda i: len(text[:start].splitlines()) + i
 
 
 def parse_labels(text: str) -> dict[str, tuple[int, ...]]:
     """Parse the "%labels" sidecar section into a group map."""
     groups: dict[str, tuple[int, ...]] = {}
     in_labels = False
-    for i, raw in enumerate(text.splitlines(), start=1):
+    lines, line_no = section_lines(text, "%labels")
+    for i, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if stripped == "%labels":
             in_labels = True
@@ -266,15 +359,15 @@ def parse_labels(text: str) -> dict[str, tuple[int, ...]]:
         if stripped.startswith("%"):
             break
         if not stripped.startswith("group "):
-            raise GraphParseError(f"expected 'group <tag>: ...', got {raw!r}", line=i)
+            raise GraphParseError(f"expected 'group <tag>: ...', got {raw!r}", line=line_no(i))
         head, _, body = stripped[len("group "):].partition(":")
         tag = head.strip()
         if not tag:
-            raise GraphParseError("empty group tag", line=i)
+            raise GraphParseError("empty group tag", line=line_no(i))
         try:
             groups[tag] = tuple(int(tok) for tok in body.split())
         except ValueError:
-            raise GraphParseError(f"non-integer vertex in group {tag!r}", line=i) from None
+            raise GraphParseError(f"non-integer vertex in group {tag!r}", line=line_no(i)) from None
     return groups
 
 
@@ -288,9 +381,15 @@ def emit_labeled(inst: LabeledInstance) -> str:
 
 
 def parse_labeled(text: str) -> LabeledInstance:
-    graph = parse_graph(text)
-    groups = parse_labels(text)
-    return LabeledInstance.build(graph, groups)
+    return parsed_instance(parse_graph(text), parse_labels(text))
+
+
+def parsed_instance(graph: Graph, groups: dict[str, tuple[int, ...]], meta: dict | None = None) -> LabeledInstance:
+    """LabeledInstance.build for parsed groups; a bad partition is a GraphParseError."""
+    try:
+        return LabeledInstance.build(graph, groups, meta)
+    except ValueError as exc:
+        raise GraphParseError(f"bad %labels section: {exc}") from None
 
 
 def parse_edge_pairs(text: str) -> EdgeSet:

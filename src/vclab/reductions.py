@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import DemandError, GraphParseError, QueryError
 from .flow import ConnectivitySweep
@@ -33,8 +33,10 @@ from .graphs import (
     LabeledInstance,
     canonical_edge,
     emit_labeled,
+    parsed_instance,
     parse_graph,
     parse_labels,
+    section_lines,
 )
 from .solvers import ConnectivityMatrix, steiner_vc
 
@@ -283,49 +285,67 @@ def apvc_threshold(g: Graph, a: int, d: int) -> int:
 
     The complement ~N(v) is V minus N(v) and therefore contains v itself;
     that convention is load-bearing (for adjacent K4 vertices the value is
-    19, not 17).
+    19, not 17). With |N(a) int ~N(d)| = deg(a) - |N(a) int N(d)| the sum is
+    computed as 4n + deg(a) + deg(d) - 2 |N(a) int N(d)| + 1.
     """
-    everything = frozenset(range(g.n))
-    na, nd = g.neighbor_set(a), g.neighbor_set(d)
-    return 4 * g.n + len(na & (everything - nd)) + len((everything - na) & nd) + 1
+    common = len(g.neighbor_set(a) & g.neighbor_set(d))
+    return 4 * g.n + g.degree(a) + g.degree(d) - 2 * common + 1
 
 
-def build_h(g: Graph) -> HardInstance:
-    """The 10n-vertex instance whose (a, d) connectivities detect 4-cliques.
+def _bipartite_edges(n: int, blocks: Iterable[tuple[int, int, Sequence[Iterable[int]]]]) -> list[Edge]:
+    """Edges (x0 + u, y0 + v) for every block (x0, y0, rows), u < n, v in rows[u]."""
+    return [(x0 + u, y0 + v) for x0, y0, rows in blocks for u in range(n) for v in rows[u]]
 
-    Built directly from the closed-form edge families; the equivalent
-    pair-by-pair union of filters and gadget is exercised in tests only.
+
+def _non_adjacency(g: Graph) -> list[list[int]]:
+    """Row u lists ~N(u), which holds u itself."""
+    return [[v for v in range(g.n) if not g.has_edge(u, v)] for u in range(g.n)]
+
+
+def _h_edges(g: Graph) -> list[Edge]:
+    """H's edge families, built directly in closed form.
+
+    The equivalent pair-by-pair union of filters and gadget is exercised in
+    tests only.
     """
     n = g.n
     if n < 1:
         raise QueryError("need at least one vertex")
     full = range(n)
-    adj = g.has_edge
-    edges: list[Edge] = []
-    # filter families, collapsed over all (a, d)
-    edges += [(u, n + v) for u in full for v in full]  # A-B complete
-    edges += [(n + u, 3 * n + v) for u in full for v in full if not adj(u, v)]  # B-D non-adj
-    edges += [(u, 4 * n + v) for u in full for v in full if adj(u, v)]  # A-B' adj
-    edges += [(4 * n + u, 3 * n + v) for u in full for v in full]  # B'-D complete
-    edges += [(n + u, 4 * n + u) for u in full]  # B-B' matching
-    edges += [(u, 2 * n + v) for u in full for v in full if not adj(u, v)]  # A-C non-adj
-    edges += [(2 * n + u, 3 * n + v) for u in full for v in full]  # C-D complete
-    edges += [(u, 5 * n + v) for u in full for v in full]  # A-C' complete
-    edges += [(5 * n + u, 3 * n + v) for u in full for v in full if adj(u, v)]  # C'-D adj
-    edges += [(2 * n + u, 5 * n + u) for u in full]  # C-C' matching
-    edges += [(n + u, 2 * n + v) for u in full for v in full if adj(u, v)]  # B-C adj
-    # gadget Q(A, D) with A1 = [6n, 7n), A2 = [7n, 8n), D1 = [8n, 9n), D2 = [9n, 10n)
-    edges += [(u, 6 * n + u) for u in full]
-    edges += [(6 * n + u, 3 * n + v) for u in full for v in full]
-    edges += [(3 * n + u, 8 * n + u) for u in full]
-    edges += [(8 * n + u, v) for u in full for v in full]
-    edges += [(u, 7 * n + v) for u in full for v in full]
-    edges += [(3 * n + u, 9 * n + v) for u in full for v in full]
+    every = [full] * n
+    adj = [g.neighbors(u) for u in full]
+    non = _non_adjacency(g)
+    same = [(u,) for u in full]
+    return _bipartite_edges(n, (
+        # filter families, collapsed over all (a, d)
+        (0, n, every),  # A-B complete
+        (n, 3 * n, non),  # B-D non-adj
+        (0, 4 * n, adj),  # A-B' adj
+        (4 * n, 3 * n, every),  # B'-D complete
+        (n, 4 * n, same),  # B-B' matching
+        (0, 2 * n, non),  # A-C non-adj
+        (2 * n, 3 * n, every),  # C-D complete
+        (0, 5 * n, every),  # A-C' complete
+        (5 * n, 3 * n, adj),  # C'-D adj
+        (2 * n, 5 * n, same),  # C-C' matching
+        (n, 2 * n, adj),  # B-C adj
+        # gadget Q(A, D) with A1 = [6n, 7n), A2 = [7n, 8n), D1 = [8n, 9n), D2 = [9n, 10n)
+        (0, 6 * n, same),
+        (6 * n, 3 * n, every),
+        (3 * n, 8 * n, same),
+        (8 * n, 0, every),
+        (0, 7 * n, every),
+        (3 * n, 9 * n, every),
+    ))
 
-    graph = Graph.from_edges(10 * n, edges)
-    assert graph.n == 10 * n
+
+def build_h(g: Graph) -> HardInstance:
+    """The 10n-vertex instance whose (a, d) connectivities detect 4-cliques."""
+    n = g.n
+    graph = Graph.from_edges(10 * n, _h_edges(g))
     groups = {tag: range(i * n, (i + 1) * n) for i, tag in enumerate(H_GROUPS)}
     inst = LabeledInstance.build(graph, groups, meta={"kind": "apvc", "source_n": n})
+    full = range(n)
     thresholds = {
         (u, 3 * n + v): apvc_threshold(g, u, v) for u in full for v in full
     }
@@ -404,31 +424,25 @@ def build_j(g: Graph, demand: EdgeSet) -> HardInstance:
     for e in demand:
         if e not in graph_edges:
             raise DemandError(f"demand edge {e} not in the source graph")
-    base = build_h(g)
+    edges = _h_edges(g)
     full = range(n)
     z0, w0, ap0, dp0 = 10 * n, 11 * n, 12 * n, 22 * n
-    edges = list(base.graph.edges())
-    for u in full:
-        for w in full:
-            if g.has_edge(u, w):
-                edges.append((u, z0 + w))  # A-Z
-                edges.append((3 * n + u, z0 + w))  # D-Z
-            else:
-                edges.append((u, w0 + w))  # A-W, including w == u
-                edges.append((3 * n + u, w0 + w))  # D-W
-    edges += [(u, ap0 + i) for u in full for i in range(10 * n)]  # A-A' complete
-    edges += [(3 * n + u, dp0 + i) for u in full for i in range(10 * n)]  # D-D' complete
+    adj = [g.neighbors(u) for u in full]
+    non = _non_adjacency(g)
+    bulk = [range(10 * n)] * n
     demand_set = set(demand.pairs)
-    # direct A-D edge for every non-demand pair, the diagonal included
-    edges += [
-        (u, 3 * n + v)
-        for u in full
-        for v in full
-        if u == v or canonical_edge(u, v) not in demand_set
-    ]
+    direct = [[v for v in full if u == v or canonical_edge(u, v) not in demand_set] for u in full]
+    edges += _bipartite_edges(n, (
+        (0, z0, adj),  # A-Z
+        (3 * n, z0, adj),  # D-Z
+        (0, w0, non),  # A-W, including each vertex's own copy
+        (3 * n, w0, non),  # D-W
+        (0, ap0, bulk),  # A-A' complete
+        (3 * n, dp0, bulk),  # D-D' complete
+        (0, 3 * n, direct),  # A-D for every non-demand pair, the diagonal included
+    ))
 
     graph = Graph.from_edges(32 * n, edges)
-    assert graph.n == 32 * n
     groups = {tag: range(i * n, (i + 1) * n) for i, tag in enumerate(H_GROUPS)}
     groups["Z"] = range(z0, z0 + n)
     groups["W"] = range(w0, w0 + n)
@@ -484,7 +498,7 @@ def emit_hard_instance(hard: HardInstance) -> str:
 def parse_hard_instance(text: str) -> HardInstance:
     graph = parse_graph(text)
     groups = parse_labels(text)
-    lines = text.splitlines()
+    lines, line_no = section_lines(text, "%thresholds")
     try:
         start = lines.index("%thresholds")
     except ValueError:
@@ -514,19 +528,23 @@ def parse_hard_instance(text: str) -> HardInstance:
             elif key == "demand":
                 demand.append((int(parts[1]), int(parts[2])))
             else:
-                raise GraphParseError(f"unknown threshold entry {key!r}", line=i)
+                raise GraphParseError(f"unknown threshold entry {key!r}", line=line_no(i))
         except (IndexError, ValueError):
-            raise GraphParseError(f"malformed threshold line {raw!r}", line=i) from None
+            raise GraphParseError(f"malformed threshold line {raw!r}", line=line_no(i)) from None
     if kind not in ("apvc", "steiner") or source_n is None:
         raise GraphParseError("threshold section must declare kind and source_n")
-    inst = LabeledInstance.build(graph, groups, meta={"kind": kind, "source_n": source_n})
+    inst = parsed_instance(graph, groups, meta={"kind": kind, "source_n": source_n})
     if kind == "apvc":
         return HardInstance(inst, kind, source_n, thresholds=thresholds)
+    try:
+        demand_set = EdgeSet.of(demand)
+    except ValueError as exc:
+        raise GraphParseError(f"bad demand: {exc}") from None
     return HardInstance(
         inst,
         kind,
         source_n,
         uniform_threshold=uniform,
         terminals=terminals,
-        demand=EdgeSet.of(demand),
+        demand=demand_set,
     )

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InconsistencyError, QueryError
+from .errors import GraphParseError, InconsistencyError, QueryError
 from .flow import ConnectivitySweep
 from .graphs import Edge, Graph, canonical_edge
 
@@ -80,12 +80,32 @@ class ConnectivityMatrix:
 
     @classmethod
     def from_tsv(cls, text: str, cap: int | None = None) -> "ConnectivityMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        n = int(lines[0])
-        values = np.array(
-            [[int(x) for x in ln.split("\t")] for ln in lines[1 : n + 1]], dtype=np.int64
-        ).reshape(n, n)
-        return cls(n, values, cap)
+        """Parse to_tsv's document; GraphParseError names a malformed line."""
+        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+        if not lines:
+            raise GraphParseError("missing matrix size", line=1)
+        head_no, head = lines[0]
+        try:
+            n = int(head)
+        except ValueError:
+            raise GraphParseError(f"non-integer matrix size {head!r}", line=head_no) from None
+        if n < 0:
+            raise GraphParseError(f"negative matrix size {n}", line=head_no)
+        rows = lines[1 : n + 1]
+        if len(rows) != n:
+            raise GraphParseError(f"expected {n} rows, found {len(rows)}", line=head_no)
+        values = []
+        for i, ln in rows:
+            try:
+                row = [int(x) for x in ln.split("\t")]
+            except ValueError:
+                raise GraphParseError(f"non-integer entry in {ln!r}", line=i) from None
+            if len(row) != n:
+                raise GraphParseError(f"expected {n} entries, found {len(row)}", line=i)
+            if not all(-(2**63) <= x < 2**63 for x in row):
+                raise GraphParseError(f"entry out of the 64-bit range in {ln!r}", line=i)
+            values.append(row)
+        return cls(n, np.array(values, dtype=np.int64).reshape(n, n), cap)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -242,7 +262,16 @@ def steiner_vc(g: Graph, terminals: Iterable[int], cutoff: int | None = None) ->
 
 
 def sample_set_count(n: int, k: int, c: float) -> int:
-    return math.ceil(c * k * k * math.log(n)) if n >= 2 else 0
+    """t = ceil(c k^2 ln n); QueryError when c k^2 ln n is not a finite number."""
+    if n < 2:
+        return 0
+    try:
+        t = c * k * k * math.log(n)
+    except OverflowError:  # k too large for a float
+        t = math.inf
+    if not math.isfinite(t):
+        raise QueryError(f"sample-set count c k^2 ln n is not finite for c={c}, k={k}, n={n}")
+    return math.ceil(t)
 
 # A set much larger than its n/k expectation only hurts running time, never
 # correctness, so oversized draws are redrawn instead of aborting the run.

@@ -16,6 +16,7 @@ from .errors import VclabError
 from .flow import ConnectivitySweep, cut_disconnects, vertex_connectivity
 from .graphs import Graph, emit_graph, gen_gnp, gen_planted_4clique
 from .oracles import (
+    MIXED_CUT_MAX_N,
     brute_4clique,
     brute_edge_universal,
     brute_mixed_cut,
@@ -67,10 +68,13 @@ class SuiteResult:
         return out
 
 
-def _require_max_n(max_n: int, low: int) -> None:
-    """Every trial draws its size from [low, max_n], so that range must not be empty."""
+def _require_max_n(max_n: int, low: int, high: int | None = None) -> None:
+    """Every trial draws its size from [low, max_n], so that range must not be
+    empty; a suite checked by brute force also caps max_n at `high`."""
     if max_n < low:
         raise VclabError(f"max instance size must be >= {low} for this suite, got {max_n}")
+    if high is not None and max_n > high:
+        raise VclabError(f"max instance size must be <= {high} for this suite, got {max_n}")
 
 
 def _record(res: SuiteResult, cond: bool, trial_seed: int, message: str, g: Graph) -> None:
@@ -81,7 +85,7 @@ def _record(res: SuiteResult, cond: bool, trial_seed: int, message: str, g: Grap
 
 def suite_flow(trials: int = 300, max_n: int = 7, seed: int = 0) -> SuiteResult:
     """Flow-based connectivity vs the subset-enumeration cut search."""
-    _require_max_n(max_n, 2)
+    _require_max_n(max_n, 2, MIXED_CUT_MAX_N)
     res = SuiteResult("flow")
     t0 = time.time()
     rng = random.Random(seed)

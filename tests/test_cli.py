@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vclab
 from vclab.cli import THREADS_ENV, main, resolve_threads
 from vclab.errors import VclabError
 from vclab.graphs import emit_graph, gen_gnp, parse_graph, parse_labeled
@@ -166,6 +171,7 @@ def test_vc_unreadable_graph_exit_2(tmp_path, capsys):
     ["apvc", "--algo", "sampled", "--k", "2", "--c", "-1"],
     ["ssvc", "--algo", "sampled", "--s", "0", "--k", "2", "--c", "0"],
     ["steiner", "--terminals", "a b"],
+    ["apvc", "--algo", "sampled", "--k", "3", "--c", "1e308"],  # c k^2 ln n overflows
 ])
 def test_vc_bad_input_exit_2(tmp_path, capsys, argv):
     path = p3_file(tmp_path)
@@ -184,13 +190,19 @@ def test_vc_bad_input_exit_2(tmp_path, capsys, argv):
     ["verify", "flow", "--seeds", "-1"],
     ["bench", "apvc", "--sizes", "abc"],
     ["bench", "apvc", "--sizes", "6", "--p", "2"],
+    ["verify", "flow", "--n", "100000", "--seeds", "1"],  # above the brute-force limit
 ])
-def test_gen_verify_out_bad_input_exit_2(tmp_path, capsys, argv):
+def test_gen_verify_out_bad_input_exit_2(tmp_path, argv):
+    # a subprocess with a timeout, so a row that spins fails instead of hanging
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    src = str(Path(vclab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "vclab.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

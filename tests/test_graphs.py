@@ -91,6 +91,24 @@ def test_from_edges_rejects_garbage():
         Graph.from_edges(3, [(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (1, 0), (2, 3)], "duplicate edge (0, 1)"),  # before a range error
+        ([(1, 2), (2, 2), (2, 1)], "self-loop at vertex 2"),  # before a duplicate
+        ([(0, 1), (0, 3), (1, 1)], "edge (0, 3) out of range for n=3"),  # before a loop
+        ([(0, 1), (1, 2), (-1, 2)], "edge (-1, 2) out of range for n=3"),
+    ],
+)
+def test_from_edges_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph.from_edges(3, edges)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        Graph.from_edges(3, iter(edges))
+    assert str(err.value) == message
+
+
 def test_without_vertices_keeps_ids():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     h = g.without_vertices([1])

@@ -289,6 +289,27 @@ def test_h_rejects_empty():
         build_h(Graph.from_edges(0, []))
 
 
+def complement_threshold(g, a, d):
+    """The definition: 4n + |N(a) int ~N(d)| + |~N(a) int N(d)| + 1, with ~N(v) = V - N(v)."""
+    everything = frozenset(range(g.n))
+    na, nd = g.neighbor_set(a), g.neighbor_set(d)
+    return 4 * g.n + len(na & (everything - nd)) + len((everything - na) & nd) + 1
+
+
+def test_threshold_matches_complement_definition():
+    rng = random.Random(20)
+    graphs = [k4(), c5(), Graph.from_edges(1, [])]
+    graphs += [gen_gnp(rng.randint(1, 12), rng.random(), seed) for seed in range(40)]
+    for g in graphs:
+        for a in range(g.n):
+            for d in range(g.n):
+                assert apvc_threshold(g, a, d) == complement_threshold(g, a, d)
+        thresholds = build_h(g).thresholds
+        assert thresholds == {
+            (a, 3 * g.n + d): complement_threshold(g, a, d) for a in range(g.n) for d in range(g.n)
+        }
+
+
 def test_threshold_values():
     g = k4()
     assert apvc_threshold(g, 0, 1) == 19
@@ -423,6 +444,27 @@ def test_j_structure():
 def test_j_rejects_bad_demand():
     with pytest.raises(DemandError):
         build_j(c5(), EdgeSet.of([(0, 2)]))
+    with pytest.raises(QueryError):
+        build_j(Graph.from_edges(0, []), EdgeSet.of([]))
+
+
+def test_j_extends_h():
+    """Below id 10n, J is H plus the direct A-D edges of the non-demand pairs."""
+    rng = random.Random(21)
+    for seed in range(12):
+        g = gen_gnp(rng.randint(1, 9), rng.uniform(0.2, 0.9), seed)
+        n = g.n
+        demand = EdgeSet.of(rng.sample(g.edges(), min(2, g.m)))
+        direct = {
+            (u, 3 * n + v)
+            for u in range(n)
+            for v in range(n)
+            if u == v or (min(u, v), max(u, v)) not in demand
+        }
+        h_edges = build_h(g).graph.edges()
+        inner = [e for e in build_j(g, demand).graph.edges() if e[1] < 10 * n]
+        assert not direct & set(h_edges)
+        assert inner == sorted(set(h_edges) | direct)
 
 
 def test_j_demand_pair_without_clique_sits_at_5n():
