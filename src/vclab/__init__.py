@@ -31,7 +31,6 @@ from .graphs import (
     emit_labeled,
     gen_gnp,
     gen_planted_4clique,
-    pad_with_isolated_vertices,
     parse_edge_pairs,
     parse_graph,
     parse_labeled,
@@ -65,7 +64,6 @@ from .solvers import (
     DegreeSplit,
     SampleFamily,
     apvc_naive,
-    apvc_via_ssvc,
     capped_apvc_sampled,
     capped_ssvc_sampled,
     degree_split,

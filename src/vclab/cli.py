@@ -188,7 +188,7 @@ def _solve_vc(args, parser, g, threads):
     if algo == "naive":
         mat = apvc_naive(g, threads=threads)
     elif algo == "fast":
-        mat = fast_apvc(g, k=args.k, threads=threads, mode=args.mode)
+        mat = fast_apvc(g, k=args.k, threads=threads)
     else:
         if args.k is None:
             parser.error("apvc --algo sampled needs --k")
@@ -204,7 +204,7 @@ def cmd_vc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     t_load = time.time()
     payload, result = _solve_vc(args, parser, g, resolve_threads(args.threads))
     t_solve = time.time()
-    params = {"k": args.k, "mode": args.mode, "threads": args.threads}
+    params = {"k": args.k, "threads": args.threads}
     if args.algo == "sampled":
         params.update(c=args.c, fallback=args.fallback)
     else:
@@ -360,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vc.add_argument("--k", type=int)
     p_vc.add_argument("--c", type=float, default=4.0)
     p_vc.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=True)
-    p_vc.add_argument("--mode", choices=["default", "gh"], default="default")
     p_vc.add_argument("--seed", type=int)
     p_vc.add_argument("--threads", type=int)
     p_vc.add_argument("--out")

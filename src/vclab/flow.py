@@ -31,16 +31,18 @@ class FlowNetwork:
     """Directed flow network with paired reverse arcs.
 
     Arcs are appended in (forward, reverse) pairs, so arc i and arc i^1 are
-    partners and every forward arc has an even index.
+    partners and every forward arc has an even index. Arc i runs from
+    to[i ^ 1] to to[i]. `cap0` holds the capacities as built and is never
+    written after that; forward arc a carries flow cap[a ^ 1] and has
+    capacity cap[a] + cap[a ^ 1].
     """
 
-    __slots__ = ("num_nodes", "source", "sink", "frm", "to", "cap", "cap0", "adj")
+    __slots__ = ("num_nodes", "source", "sink", "to", "cap", "cap0", "adj")
 
     def __init__(self, num_nodes: int, source: int, sink: int):
         self.num_nodes = num_nodes
         self.source = source
         self.sink = sink
-        self.frm: list[int] = []
         self.to: list[int] = []
         self.cap: list[int] = []
         self.cap0: list[int] = []
@@ -48,7 +50,6 @@ class FlowNetwork:
 
     def add_arc(self, u: int, v: int, capacity: int) -> int:
         i = len(self.to)
-        self.frm += [u, v]
         self.to += [v, u]
         self.cap += [capacity, 0]
         self.cap0 += [capacity, 0]
@@ -57,25 +58,27 @@ class FlowNetwork:
         return i
 
     def reset(self) -> None:
-        """Discard all flow, restoring the original capacities."""
+        """Discard all flow, restoring the capacities as built."""
         self.cap[:] = self.cap0
 
     def validate(self, big: int) -> None:
-        """Assert the split-network invariants: paired arcs, the capacity
-        alphabet, and the layout (arc 2v is v's internal arc, then two
-        mirrored arcs per edge)."""
-        arcs, inner = len(self.to), self.num_nodes
+        """Assert the split-network invariants: each arc listed at its tail,
+        the capacity alphabet, and the layout (arc 2v is v's internal arc,
+        then two mirrored arcs per edge)."""
+        to, cap0 = self.to, self.cap0
+        arcs, inner = len(to), self.num_nodes
         assert arcs >= inner and (arcs - inner) % 4 == 0
+        for x, out in enumerate(self.adj):
+            assert all(to[a ^ 1] == x for a in out), f"node {x} lists an arc it is not the tail of"
         for i in range(0, arcs, 2):
-            assert self.frm[i] == self.to[i + 1] and self.to[i] == self.frm[i + 1]
-            assert self.cap0[i + 1] == 0
-            assert self.cap0[i] in (1, big), f"arc {i} capacity {self.cap0[i]}"
+            assert cap0[i + 1] == 0
+            assert cap0[i] in (1, big), f"arc {i} capacity {cap0[i]}"
             if i < inner:
-                assert (self.frm[i], self.to[i]) == (i, i + 1), f"arc {i} is not internal"
+                assert (to[i + 1], to[i]) == (i, i + 1), f"arc {i} is not internal"
         for i in range(inner, arcs, 4):
-            assert self.cap0[i] == self.cap0[i + 2] == 1
-            assert self.frm[i] % 2 == 1 and self.to[i] % 2 == 0, f"arc {i} is not out -> in"
-            assert (self.frm[i] - 1, self.to[i] + 1) == (self.to[i + 2], self.frm[i + 2])
+            assert cap0[i] == cap0[i + 2] == 1
+            assert to[i + 1] % 2 == 1 and to[i] % 2 == 0, f"arc {i} is not out -> in"
+            assert (to[i + 1] - 1, to[i] + 1) == (to[i + 2], to[i + 3])
 
 
 @dataclass(frozen=True)
@@ -97,42 +100,34 @@ def _require_pair(g: Graph, u: int, v: int) -> None:
         raise QueryError(f"query endpoints must differ, got {u}")
 
 
-def _build_split_network(g: Graph, uncuttable: frozenset[int]) -> FlowNetwork:
-    """The split network of g. Arc 2v is v's internal arc v_in -> v_out; after
-    them, edge g.edges()[i] owns the forward arcs 2n + 4i (u_out -> v_in) and
-    2n + 4i + 2 (v_out -> u_in)."""
-    big = max(g.n, 2)
-    net = FlowNetwork(2 * g.n, source=0, sink=1)
-    for v in range(g.n):
-        net.add_arc(2 * v, 2 * v + 1, big if v in uncuttable else 1)
-    for u, v in g.edges():
-        net.add_arc(2 * u + 1, 2 * v, 1)
-        net.add_arc(2 * v + 1, 2 * u, 1)
-    return net
-
-
 class ConnectivitySweep:
     """Every connectivity query against one graph, on one split network.
 
     This is the only code that builds or aims a connectivity network. The
-    arcs are built once. A vertex-mode query makes its two endpoints
-    uncuttable and the previous query's endpoints cuttable again; in element
-    mode every terminal is uncuttable from the start, and a query only
-    retargets source and sink. After a query, `net` holds that query's
-    capacities and residual flow, so a cut or a path family can be read off
-    it.
+    arcs are built once, with every internal arc cuttable except, in element
+    mode, the terminals'. Each query restores those capacities; a
+    vertex-mode query then makes its two endpoints uncuttable, and an
+    element-mode query only retargets source and sink. After a query, `net`
+    holds that query's residual capacities, so a cut or a path family can be
+    read off it.
     """
 
     def __init__(self, g: Graph, terminals: Iterable[int] | None = None):
         self.g = g
-        self.big = max(g.n, 2)
+        self.big = big = max(g.n, 2)
         self.terminals = None if terminals is None else frozenset(terminals)
-        if self.terminals is not None:
-            for x in self.terminals:
-                if not 0 <= x < g.n:
-                    raise QueryError(f"terminal {x} out of range for n={g.n}")
-        self.net = _build_split_network(g, self.terminals or frozenset())
-        self._ends: tuple[int, ...] = ()  # vertex mode: the endpoints now uncuttable
+        uncuttable = self.terminals or frozenset()
+        for x in uncuttable:
+            if not 0 <= x < g.n:
+                raise QueryError(f"terminal {x} out of range for n={g.n}")
+        # arc 2v is v's internal arc v_in -> v_out; after them, edge g.edges()[i]
+        # owns the forward arcs 2n + 4i (u_out -> v_in) and 2n + 4i + 2 (v_out -> u_in)
+        self.net = net = FlowNetwork(2 * g.n, source=0, sink=1)
+        for v in range(g.n):
+            net.add_arc(2 * v, 2 * v + 1, big if v in uncuttable else 1)
+        for u, v in g.edges():
+            net.add_arc(2 * u + 1, 2 * v, 1)
+            net.add_arc(2 * v + 1, 2 * u, 1)
 
     def query(self, u: int, v: int, cutoff: int | None = None) -> int:
         """kappa(u, v), or kappa'(u, v) in element mode; with a cutoff,
@@ -140,17 +135,13 @@ class ConnectivitySweep:
         _require_pair(self.g, u, v)
         if cutoff is not None and cutoff < 0:
             raise QueryError(f"cutoff must be >= 0, got {cutoff}")
-        net = self.net
-        if self.terminals is None:
-            cap0 = net.cap0
-            for w in self._ends:
-                cap0[2 * w] = 1
-            cap0[2 * u] = cap0[2 * v] = self.big
-            self._ends = (u, v)
-        elif u not in self.terminals or v not in self.terminals:
+        terminals, net = self.terminals, self.net
+        if terminals is not None and (u not in terminals or v not in terminals):
             raise QueryError("both endpoints must be terminals")
         net.source, net.sink = 2 * u, 2 * v + 1
         net.reset()
+        if terminals is None:
+            net.cap[2 * u] = net.cap[2 * v] = self.big
         return _dinic(net, cutoff)
 
 
@@ -190,7 +181,7 @@ def _sink_distances(net: FlowNetwork) -> list[int]:
 def _blocking_flow(net: FlowNetwork, dist: list[int], budget: int | None) -> int:
     """Push a blocking flow along arcs that step one label toward the sink;
     optionally stop at budget. Dead ends get label -1, which no arc matches."""
-    cap, to, frm, adj = net.cap, net.to, net.frm, net.adj
+    cap, to, adj = net.cap, net.to, net.adj
     it = [0] * net.num_nodes
     s, t = net.source, net.sink
     total = 0
@@ -210,7 +201,7 @@ def _blocking_flow(net: FlowNetwork, dist: list[int], budget: int | None) -> int
             for i, a in enumerate(path):
                 if cap[a] == 0:
                     del path[i:]
-                    u = frm[a]
+                    u = to[a ^ 1]
                     break
             continue
         arcs = it[u]
@@ -232,7 +223,7 @@ def _blocking_flow(net: FlowNetwork, dist: list[int], budget: int | None) -> int
             return total
         else:
             dist[u] = -1
-            u = frm[path.pop()]
+            u = to[path.pop() ^ 1]
             it[u] += 1
 
 
@@ -260,12 +251,9 @@ def _min_cut(net: FlowNetwork, value: int) -> list[int]:
             if cap[a] > 0 and not seen[to[a]]:
                 seen[to[a]] = True
                 queue.append(to[a])
-    cut = [
-        a
-        for a in range(0, len(net.to), 2)
-        if net.cap0[a] > 0 and seen[net.frm[a]] and not seen[net.to[a]]
-    ]
-    assert sum(net.cap0[a] for a in cut) == value, "cut capacity must equal flow value"
+    # an arc from the source side to the rest is saturated: its capacity is its flow, cap[a ^ 1]
+    cut = [a for a in range(0, len(to), 2) if seen[to[a ^ 1]] and not seen[to[a]] and cap[a ^ 1] > 0]
+    assert sum(cap[a] + cap[a ^ 1] for a in cut) == value, "cut capacity must equal flow value"
     return cut
 
 
@@ -282,8 +270,12 @@ def max_flow(net: FlowNetwork, cutoff: int | None = None) -> tuple[int, list[int
     return value, _min_cut(net, value)
 
 
-def _prefer_internal_arcs(net: FlowNetwork, cut: list[int], endpoints: tuple[int, int]) -> list[int]:
-    """Swap crossing edge arcs for internal arcs of non-endpoint vertices.
+def _cut_certificate(
+    sweep: ConnectivitySweep, cut: list[int], value: int, endpoints: tuple[int, int]
+) -> CutCertificate:
+    """Name the graph elements of a minimum cut of the sweep's network by the
+    arc layout, swapping crossing edge arcs for internal arcs of non-endpoint
+    vertices.
 
     The vertex cut {v} dominates the edge cut {(u,v)}: removing v's internal
     arc blocks every path that the edge arc carried, and that arc is saturated
@@ -291,38 +283,21 @@ def _prefer_internal_arcs(net: FlowNetwork, cut: list[int], endpoints: tuple[int
     internal arc). The swapped set is therefore still a minimum cut, but one
     that names vertices wherever the mixed-cut definition allows it.
     """
-    # internal arcs are the first num_nodes arcs of a split network
-    refined = [a for a in cut if a < net.num_nodes]
-    taken = set(refined)
-    for a in cut:
-        if a < net.num_nodes:
-            continue
-        head = net.to[a] // 2
-        tail = net.frm[a] // 2
-        swapped = False
-        for w in (head, tail):
-            internal = 2 * w
-            if w not in endpoints and internal not in taken:
-                refined.append(internal)
-                taken.add(internal)
-                swapped = True
-                break
-        if not swapped:
-            refined.append(a)
-    return sorted(refined)
-
-
-def _cut_to_certificate(g: Graph, cut: list[int], value: int, endpoints: tuple[int, int]) -> CutCertificate:
-    """Name the graph elements of a split-network cut by the arc layout."""
-    inner = 2 * g.n
-    edges = g.edges()
+    to, inner, edges = sweep.net.to, sweep.net.num_nodes, sweep.g.edges()
     verts: set[int] = set()
     cut_edges: list[Edge] = []
+    # the cut is sorted and internal arcs are the first num_nodes arcs, so
+    # every cut vertex is known before the first edge arc is swapped
     for a in cut:
         assert a % 2 == 0, "reverse arc in cut"
         if a < inner:
             assert a // 2 not in endpoints, "endpoint internal arc in a minimum cut"
             verts.add(a // 2)
+            continue
+        for w in (to[a] // 2, to[a ^ 1] // 2):  # head, then tail
+            if w not in endpoints and w not in verts:
+                verts.add(w)
+                break
         else:
             cut_edges.append(edges[(a - inner) // 4])
     assert len(cut_edges) == len(set(cut_edges)), "edge counted twice in one cut"
@@ -333,8 +308,7 @@ def vertex_connectivity(g: Graph, u: int, v: int) -> tuple[int, CutCertificate]:
     """kappa_G(u, v) with a mixed-cut certificate of the same size."""
     sweep = ConnectivitySweep(g)
     value = sweep.query(u, v)
-    cut = _prefer_internal_arcs(sweep.net, _min_cut(sweep.net, value), (u, v))
-    return value, _cut_to_certificate(g, cut, value, (u, v))
+    return value, _cut_certificate(sweep, _min_cut(sweep.net, value), value, (u, v))
 
 
 def cut_disconnects(g: Graph, u: int, v: int, cert: CutCertificate) -> bool:
@@ -369,7 +343,7 @@ def vertex_disjoint_paths(g: Graph, u: int, v: int) -> list[list[int]]:
     sweep = ConnectivitySweep(g)
     value = sweep.query(u, v)
     net = sweep.net
-    used = [net.cap0[a] - net.cap[a] for a in range(len(net.to))]
+    used = [net.cap[a ^ 1] for a in range(len(net.to))]  # flow on each forward arc
     paths: list[list[int]] = []
     for _ in range(value):
         walk = [net.source]

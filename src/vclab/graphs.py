@@ -11,12 +11,16 @@ import bisect
 import itertools
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import GraphParseError
 
 Edge = tuple[int, int]
+
+# The most vertices a graph document's header may declare, checked before
+# anything is allocated; far above J's 32n for any source the solvers can run.
+MAX_VERTICES = 2**20
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -157,10 +161,6 @@ class EdgeSet:
             canon.add(canonical_edge(u, v))
         return cls(tuple(sorted(canon)))
 
-    def validate(self, n: int) -> None:
-        for u, v in self.pairs:
-            assert 0 <= u < v < n, f"pair ({u}, {v}) not canonical for n={n}"
-
     def __contains__(self, pair: Edge) -> bool:
         return canonical_edge(*pair) in set(self.pairs)
 
@@ -181,10 +181,9 @@ class LabeledInstance:
 
     graph: Graph
     groups: dict[str, tuple[int, ...]]
-    meta: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, graph: Graph, groups: dict[str, Iterable[int]], meta: dict | None = None) -> "LabeledInstance":
+    def build(cls, graph: Graph, groups: dict[str, Iterable[int]]) -> "LabeledInstance":
         norm = {tag: tuple(sorted(vs)) for tag, vs in groups.items()}
         claimed: set[int] = set()
         for tag, vs in norm.items():
@@ -201,7 +200,7 @@ class LabeledInstance:
             if "plain" in norm:
                 raise ValueError(f"vertices {leftovers} are in no group, and group 'plain' is taken")
             norm["plain"] = tuple(leftovers)
-        inst = cls(graph, norm, meta or {})
+        inst = cls(graph, norm)
         inst.validate()
         return inst
 
@@ -247,6 +246,8 @@ def _parse_canonical(text: str) -> Graph | None:
     if not _CANONICAL_HEADER.fullmatch(head):
         return None
     n, m = (int(tok) for tok in head.split())
+    if n > MAX_VERTICES:
+        return None  # the line parser names the error
     if body.startswith("%"):
         body = ""
     elif (cut := body.find("\n%")) >= 0:
@@ -292,6 +293,8 @@ def _parse_lines(text: str) -> Graph:
         raise GraphParseError(f"non-integer header {lines[0]!r}", line=1) from None
     if n < 0 or m < 0:
         raise GraphParseError("negative n or m", line=1)
+    if n > MAX_VERTICES:
+        raise GraphParseError(f"header declares n={n}, above the limit of {MAX_VERTICES}", line=1)
 
     edges: list[Edge] = []
     seen: set[Edge] = set()
@@ -384,10 +387,10 @@ def parse_labeled(text: str) -> LabeledInstance:
     return parsed_instance(parse_graph(text), parse_labels(text))
 
 
-def parsed_instance(graph: Graph, groups: dict[str, tuple[int, ...]], meta: dict | None = None) -> LabeledInstance:
+def parsed_instance(graph: Graph, groups: dict[str, tuple[int, ...]]) -> LabeledInstance:
     """LabeledInstance.build for parsed groups; a bad partition is a GraphParseError."""
     try:
-        return LabeledInstance.build(graph, groups, meta)
+        return LabeledInstance.build(graph, groups)
     except ValueError as exc:
         raise GraphParseError(f"bad %labels section: {exc}") from None
 
@@ -402,9 +405,12 @@ def parse_edge_pairs(text: str) -> EdgeSet:
         if len(parts) != 2:
             raise GraphParseError(f"expected 'u v', got {raw!r}", line=i)
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphParseError(f"non-integer endpoint in {raw!r}", line=i) from None
+        if u == v:
+            raise GraphParseError(f"self-loop {u}", line=i)
+        pairs.append((u, v))
     return EdgeSet.of(pairs)
 
 
@@ -434,10 +440,3 @@ def gen_planted_4clique(n: int, base_p: float, plant: bool, seed: int) -> Graph:
         four = rng.sample(range(n), 4)
         edges.update(canonical_edge(u, v) for u, v in itertools.combinations(four, 2))
     return Graph.from_edges(n, sorted(edges))
-
-
-def pad_with_isolated_vertices(g: Graph, extra: int) -> Graph:
-    """Append `extra` isolated vertices; original ids and edges are unchanged."""
-    if extra < 0:
-        raise ValueError(f"extra must be >= 0, got {extra}")
-    return Graph(g.n + extra, list(g._adj) + [()] * extra)

@@ -62,9 +62,6 @@ class FourPartite:
         return self.g.n
 
     # id layout: A = [0, n), B = [n, 2n), C = [2n, 3n), D = [3n, 4n)
-    def a_of(self, v: int) -> int:
-        return v
-
     def b_of(self, v: int) -> int:
         return self.n + v
 
@@ -105,7 +102,7 @@ def four_partite(g: Graph) -> FourPartite:
         "C": range(2 * n, 3 * n),
         "D": range(3 * n, 4 * n),
     }
-    inst = LabeledInstance.build(graph, groups, meta={"source_n": n})
+    inst = LabeledInstance.build(graph, groups)
     orig = tuple(v % n for v in range(4 * n))
     return FourPartite(g, inst, orig)
 
@@ -210,7 +207,7 @@ def build_filter_b(fp: FourPartite, a: int, d: int) -> LabeledInstance:
         "B": b_all,
         "B'": tuple(_bp_of(fp, b) for b in b_all),
     }
-    return LabeledInstance.build(graph, groups, meta={"source_n": n})
+    return LabeledInstance.build(graph, groups)
 
 
 def filter_b_offset(fp: FourPartite, a: int, d: int) -> int:
@@ -242,7 +239,7 @@ def build_filter_c(fp: FourPartite, a: int, d: int) -> LabeledInstance:
         "C": c_all,
         "C'": tuple(_cp_of(fp, c) for c in c_all),
     }
-    return LabeledInstance.build(graph, groups, meta={"source_n": n})
+    return LabeledInstance.build(graph, groups)
 
 
 def filter_c_offset(fp: FourPartite, a: int, d: int) -> int:
@@ -344,7 +341,7 @@ def build_h(g: Graph) -> HardInstance:
     n = g.n
     graph = Graph.from_edges(10 * n, _h_edges(g))
     groups = {tag: range(i * n, (i + 1) * n) for i, tag in enumerate(H_GROUPS)}
-    inst = LabeledInstance.build(graph, groups, meta={"kind": "apvc", "source_n": n})
+    inst = LabeledInstance.build(graph, groups)
     full = range(n)
     thresholds = {
         (u, 3 * n + v): apvc_threshold(g, u, v) for u in full for v in full
@@ -448,7 +445,7 @@ def build_j(g: Graph, demand: EdgeSet) -> HardInstance:
     groups["W"] = range(w0, w0 + n)
     groups["A'"] = range(ap0, ap0 + 10 * n)
     groups["D'"] = range(dp0, dp0 + 10 * n)
-    inst = LabeledInstance.build(graph, groups, meta={"kind": "steiner", "source_n": n})
+    inst = LabeledInstance.build(graph, groups)
     terminals = tuple(full) + tuple(range(3 * n, 4 * n))
     return HardInstance(
         inst,
@@ -529,11 +526,13 @@ def parse_hard_instance(text: str) -> HardInstance:
                 demand.append((int(parts[1]), int(parts[2])))
             else:
                 raise GraphParseError(f"unknown threshold entry {key!r}", line=line_no(i))
+        except GraphParseError:
+            raise
         except (IndexError, ValueError):
             raise GraphParseError(f"malformed threshold line {raw!r}", line=line_no(i)) from None
     if kind not in ("apvc", "steiner") or source_n is None:
         raise GraphParseError("threshold section must declare kind and source_n")
-    inst = parsed_instance(graph, groups, meta={"kind": kind, "source_n": source_n})
+    inst = parsed_instance(graph, groups)
     if kind == "apvc":
         return HardInstance(inst, kind, source_n, thresholds=thresholds)
     try:

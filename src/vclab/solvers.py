@@ -409,12 +409,8 @@ def capped_ssvc_sampled(
 # ---------------------------------------------------------------------------
 
 
-def default_apvc_threshold(m: int, mode: str = "default") -> int:
-    if mode == "gh":
-        return math.ceil(math.sqrt(m))
-    if mode == "default":
-        return math.ceil(m ** (2.0 / 5.0))
-    raise ValueError(f"unknown mode {mode!r}")
+def default_apvc_threshold(m: int) -> int:
+    return math.ceil(m ** (2.0 / 5.0))
 
 
 def default_ssvc_threshold(m: int) -> int:
@@ -438,12 +434,10 @@ def _split_solve(g: Graph, pairs: Sequence[Edge], k: int, threads: int) -> dict[
     return {**_solve_pairs(g, both_high, threads), **_solve_pairs(g, touch_low, threads, cutoff=k)}
 
 
-def fast_apvc(
-    g: Graph, k: int | None = None, threads: int = 1, mode: str = "default"
-) -> ConnectivityMatrix:
-    """Exact APVC via the degree split at k (default: m^(2/5), or m^(1/2) in mode "gh")."""
+def fast_apvc(g: Graph, k: int | None = None, threads: int = 1) -> ConnectivityMatrix:
+    """Exact APVC via the degree split at k (default: m^(2/5))."""
     if k is None:
-        k = default_apvc_threshold(g.m, mode)
+        k = default_apvc_threshold(g.m)
     mat = ConnectivityMatrix.empty(g.n)
     for p, value in _split_solve(g, _all_pairs(g.n), k, threads).items():
         mat.put(*p, value)
@@ -461,17 +455,3 @@ def fast_ssvc(g: Graph, s: int, k: int | None = None, threads: int = 1) -> list[
     for (_, v), value in _split_solve(g, pairs, k, threads).items():
         out[v] = value
     return out
-
-
-def apvc_via_ssvc(g: Graph) -> ConnectivityMatrix:
-    """APVC by treating every vertex as a source; sanity-checks symmetry."""
-    mat = ConnectivityMatrix.empty(g.n)
-    rows = [ssvc(g, s) for s in range(g.n)]
-    for u in range(g.n):
-        for v in range(g.n):
-            if u != v and rows[u][v] != rows[v][u]:
-                raise InconsistencyError(
-                    f"ssvc rows disagree at ({u}, {v}): {rows[u][v]} vs {rows[v][u]}"
-                )
-            mat.values[u, v] = rows[u][v]
-    return mat

@@ -193,8 +193,22 @@ def test_vc_bad_input_exit_2(tmp_path, capsys, argv):
     ["verify", "flow", "--n", "100000", "--seeds", "1"],  # above the brute-force limit
 ])
 def test_gen_verify_out_bad_input_exit_2(tmp_path, argv):
+    assert_cli_exit_2([arg.format(missing=tmp_path / "missing") for arg in argv])
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"g.txt": "100000000000 0\n"}, ["vc", "global", "--graph", "g.txt"]),  # header above MAX_VERTICES
+    ({"g.txt": "3 2\n0 1\n1 2\n", "d.txt": "0 1\n1 1\n"},
+     ["reduce", "steiner", "--graph", "g.txt", "--demand", "d.txt"]),  # self-loop demand line
+])
+def test_bad_input_files_exit_2(tmp_path, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert_cli_exit_2([str(tmp_path / arg) if arg in files else arg for arg in argv])
+
+
+def assert_cli_exit_2(argv):
     # a subprocess with a timeout, so a row that spins fails instead of hanging
-    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     src = str(Path(vclab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(

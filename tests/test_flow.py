@@ -102,15 +102,17 @@ def test_split_network_shape():
     assert len(net.to) == 2 * (g.n + 2 * g.m)
     # forward arcs sit at even indices, each followed by its zero-cap reverse
     for i in range(0, len(net.to), 2):
-        assert net.to[i + 1] == net.frm[i] and net.frm[i + 1] == net.to[i]
         assert net.cap0[i + 1] == 0
+    # an arc's tail is its partner's head, and each node lists the arcs it is the tail of
+    for x, arcs in enumerate(net.adj):
+        assert all(net.to[a ^ 1] == x for a in arcs)
     # arc 2v is v's internal arc; edge i owns arcs 2n + 4i and 2n + 4i + 2
     for v in range(g.n):
-        assert (net.frm[2 * v], net.to[2 * v]) == (2 * v, 2 * v + 1)
+        assert (net.to[2 * v + 1], net.to[2 * v]) == (2 * v, 2 * v + 1)
     for i, (x, y) in enumerate(g.edges()):
         a = 2 * g.n + 4 * i
-        assert (net.frm[a], net.to[a]) == (2 * x + 1, 2 * y)
-        assert (net.frm[a + 2], net.to[a + 2]) == (2 * y + 1, 2 * x)
+        assert (net.to[a + 1], net.to[a]) == (2 * x + 1, 2 * y)
+        assert (net.to[a + 3], net.to[a + 2]) == (2 * y + 1, 2 * x)
 
 
 def test_sweep_net_holds_the_last_query():
@@ -118,7 +120,8 @@ def test_sweep_net_holds_the_last_query():
     sweep = ConnectivitySweep(g)
 
     def internal():
-        return [sweep.net.cap0[2 * v] for v in range(g.n)]
+        cap = sweep.net.cap
+        return [cap[2 * v] + cap[2 * v + 1] for v in range(g.n)]
 
     assert sweep.query(0, 3) == 3
     assert internal() == [4, 1, 1, 4]
@@ -127,6 +130,26 @@ def test_sweep_net_holds_the_last_query():
     assert sweep.net.cap != sweep.net.cap0
     assert sweep.query(1, 2, cutoff=1) == 1
     assert internal() == [1, 4, 4, 1]
+
+
+def test_vertex_queries_leave_cap0_as_built():
+    rng = random.Random(31)
+    for _ in range(10):
+        n = rng.randint(3, 12)
+        g = gen_gnp(n, rng.uniform(0.2, 0.8), rng.randrange(10**6))
+        sweep = ConnectivitySweep(g)
+        built = list(sweep.net.cap0)
+        # every internal arc is cuttable until a query aims the network
+        assert built[: 2 * n : 2] == [1] * n
+        for _ in range(5):
+            u, v = rng.sample(range(n), 2)
+            sweep.query(u, v, cutoff=rng.choice((None, 1)))
+            assert sweep.net.cap0 == built
+            # the query's own capacities: both endpoints uncuttable, nothing else changed
+            cap = sweep.net.cap
+            want = list(built)
+            want[2 * u] = want[2 * v] = sweep.big
+            assert [cap[a] + cap[a + 1] for a in range(0, len(cap), 2)] == want[0::2]
 
 
 def test_max_flow_on_hand_built_network():
@@ -146,7 +169,7 @@ def test_max_flow_on_hand_built_network():
 def reference_max_flow(net, cutoff=None):
     """One BFS augmenting path per unit of flow; the cut is the residual
     source side left by the last, exhaustive BFS."""
-    cap, to, frm, adj = net.cap, net.to, net.frm, net.adj
+    cap, to, adj = net.cap, net.to, net.adj
     value = 0
     while True:
         parent = {net.source: -1}
@@ -164,11 +187,11 @@ def reference_max_flow(net, cutoff=None):
             a = parent[x]
             cap[a] -= 1
             cap[a ^ 1] += 1
-            x = frm[a]
+            x = to[a ^ 1]
         value += 1
     if value == cutoff:
         return value, []
-    cut = [a for a in range(0, len(to), 2) if net.cap0[a] > 0 and frm[a] in parent and to[a] not in parent]
+    cut = [a for a in range(0, len(to), 2) if net.cap0[a] > 0 and to[a ^ 1] in parent and to[a] not in parent]
     return value, cut
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vclab.errors import GraphParseError
 from vclab.flow import vertex_connectivity
 from vclab.graphs import (
+    MAX_VERTICES,
     EdgeSet,
     Graph,
     LabeledInstance,
@@ -15,7 +16,6 @@ from vclab.graphs import (
     emit_labeled,
     gen_gnp,
     gen_planted_4clique,
-    pad_with_isolated_vertices,
     parse_edge_pairs,
     parse_graph,
     parse_labeled,
@@ -61,6 +61,9 @@ def test_parse_k4():
         ("3 3\n0 1\n1 2\n0 1", 4),
         ("3 3\n0 1\n1 0", 3),  # duplicate in reversed orientation
         ("3 5\n0 1\n1 2", 1),  # header count mismatch reported at header
+        ("100000000000 0\n", 1),  # above MAX_VERTICES, rejected before allocating
+        ("100000000000 1\n0 1\n", 1),
+        (f"{MAX_VERTICES + 1} 0\n", 1),
     ],
 )
 def test_parse_errors_name_the_line(doc, line):
@@ -139,6 +142,13 @@ def test_edge_pairs_round_trip():
     assert es.pairs == ((0, 1), (2, 3))
 
 
+@pytest.mark.parametrize("doc, line", [("0 1\n\n1 1\n", 3), ("0 x\n", 1), ("0 1 2\n", 1)])
+def test_edge_pair_errors_name_the_line(doc, line):
+    with pytest.raises(GraphParseError) as err:
+        parse_edge_pairs(doc)
+    assert err.value.line == line
+
+
 def test_labeled_instance_partition():
     g = Graph.from_edges(4, [(0, 1)])
     inst = LabeledInstance.build(g, {"X": [0, 1], "Y": [3]})
@@ -182,8 +192,7 @@ def test_padding_preserves_connectivity():
     rng = random.Random(9)
     for _ in range(10):
         g = gen_gnp(rng.randint(2, 7), rng.uniform(0.3, 0.8), rng.randrange(10**6))
-        padded = pad_with_isolated_vertices(g, rng.randint(0, 4))
+        padded = Graph.from_edges(g.n + rng.randint(0, 4), g.edges())
         assert padded.m == g.m
         u, v = rng.sample(range(g.n), 2)
         assert vertex_connectivity(g, u, v)[0] == vertex_connectivity(padded, u, v)[0]
-    assert pad_with_isolated_vertices(g, 0) == g

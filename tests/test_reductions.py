@@ -543,8 +543,9 @@ def test_hard_instance_parse_errors():
     with pytest.raises(GraphParseError):
         parse_hard_instance(text.replace("%thresholds", "%nothing"))
     broken = text.replace("kind apvc", "flavor apvc")
-    with pytest.raises(GraphParseError):
+    with pytest.raises(GraphParseError, match="unknown threshold entry 'flavor'") as err:
         parse_hard_instance(broken)
+    assert err.value.line == text.splitlines().index("kind apvc") + 1
     assert "pair 0 6 " in text
     with pytest.raises(GraphParseError):
         parse_hard_instance(text.replace("pair 0 6 ", "pair 0 x "))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -14,7 +15,6 @@ from vclab.solvers import (
     DIAG,
     ConnectivityMatrix,
     apvc_naive,
-    apvc_via_ssvc,
     capped_apvc_sampled,
     capped_ssvc_sampled,
     default_apvc_threshold,
@@ -215,10 +215,8 @@ def test_capped_ssvc_sampled():
 def test_default_thresholds():
     assert default_apvc_threshold(0) == 0
     assert default_apvc_threshold(32) == 4
-    assert default_apvc_threshold(100, mode="gh") == 10
+    assert default_apvc_threshold(100) == 7
     assert default_ssvc_threshold(27) == 3
-    with pytest.raises(ValueError):
-        default_apvc_threshold(10, mode="turbo")
 
 
 @given(st.integers(0, 40), st.floats(0.1, 0.9), st.integers(0, 10**6))
@@ -236,7 +234,7 @@ def test_fast_apvc_all_cap_regimes():
         want = apvc_naive(g)
         for k in (0, None, g.n):
             assert fast_apvc(g, k=k) == want, f"k={k}"
-        assert fast_apvc(g, mode="gh") == want
+        assert fast_apvc(g, k=math.ceil(math.sqrt(g.m))) == want
 
 
 def test_fast_ssvc_matches_ssvc():
@@ -248,11 +246,6 @@ def test_fast_ssvc_matches_ssvc():
         assert fast_ssvc(g, s) == ssvc(g, s)
     with pytest.raises(QueryError):
         fast_ssvc(g, -1)
-
-
-def test_apvc_via_ssvc():
-    g = gen_gnp(7, 0.5, 99)
-    assert apvc_via_ssvc(g) == apvc_naive(g)
 
 
 def test_threads_do_not_change_answers():
