@@ -12,7 +12,10 @@ minimum mixed cut, with no special case for adjacent endpoints.
 ConnectivitySweep builds this network once per graph and aims it at each
 query; every value, cut and path family in vclab comes from one of its
 queries. The arc layout is fixed, so an arc index alone names the graph
-element it stands for.
+element it stands for. A query stops at min(deg u, deg v), which bounds
+every u-v flow, so a flow that reaches it is maximum with no final search.
+Before Dinic runs, the query routes the paths that need no search: the edge
+uv and u-w-v for each common neighbour w.
 
 "Unbounded" is encoded as n: no flow through a single vertex can exceed its
 degree, which is below n, so capacity n never binds.
@@ -132,7 +135,8 @@ class ConnectivitySweep:
     def query(self, u: int, v: int, cutoff: int | None = None) -> int:
         """kappa(u, v), or kappa'(u, v) in element mode; with a cutoff,
         min(value, cutoff), stopping augmentation there."""
-        _require_pair(self.g, u, v)
+        g = self.g
+        _require_pair(g, u, v)
         if cutoff is not None and cutoff < 0:
             raise QueryError(f"cutoff must be >= 0, got {cutoff}")
         terminals, net = self.terminals, self.net
@@ -142,7 +146,42 @@ class ConnectivitySweep:
         net.reset()
         if terminals is None:
             net.cap[2 * u] = net.cap[2 * v] = self.big
-        return _dinic(net, cutoff)
+        # no u-v flow exceeds either endpoint's degree, and a flow that
+        # reaches it is maximum, so Dinic need not prove that no path is left
+        limit = min(g.degree(u), g.degree(v))
+        if cutoff is not None and cutoff < limit:
+            limit = cutoff
+        warm = self._route_short_paths(u, v, limit)
+        return warm + _dinic(net, limit - warm)
+
+    def _route_short_paths(self, u: int, v: int, limit: int) -> int:
+        """Push one unit along the edge uv, if present, and one along u-w-v
+        for each common neighbour w, in u_out's arc order, up to `limit`.
+
+        The paths share no inner vertex and use each capacity-1 arc once; the
+        endpoint internal arcs have capacity big > degree. So this is a
+        feasible flow, and Dinic completes it to a maximum flow.
+        """
+        common = self.g.neighbor_set(u) & self.g.neighbor_set(v)
+        net = self.net
+        cap, to, adj = net.cap, net.to, net.adj
+        # odd arc a at v_in is the reverse of w_out -> v_in, and to[a] is w_out
+        into_v = {to[a] // 2: a ^ 1 for a in adj[2 * v] if a & 1 and to[a] // 2 in common}
+        pushed = 0
+        for a in adj[2 * u + 1]:
+            if pushed >= limit:
+                break
+            w = to[a] // 2  # the head w_in of the even arc u_out -> w_in
+            if a & 1 or (w != v and w not in common):
+                continue
+            for b in (a,) if w == v else (a, 2 * w, into_v[w]):
+                cap[b] -= 1
+                cap[b ^ 1] += 1
+            pushed += 1
+        for b in (2 * u, 2 * v):
+            cap[b] -= pushed
+            cap[b ^ 1] += pushed
+        return pushed
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +191,11 @@ class ConnectivitySweep:
 # arcs that step one label closer to the sink, so every node it enters could
 # reach the sink when the phase began; a node whose arcs run out is marked
 # dead and no path enters it again in that phase. Arc order is fixed at build
-# time and both searches scan arcs in that order, so values, flows, and cuts
-# are deterministic for a given network.
+# time; the warm start routes its short paths in u_out's arc order and both
+# searches scan arcs in that order, so values, flows, and cuts are
+# deterministic for a given network. A connectivity query hands Dinic a
+# cutoff no larger than min(deg u, deg v) less the warm-started units, so a
+# flow that reaches that bound skips the last, failing search.
 # ---------------------------------------------------------------------------
 
 

@@ -22,6 +22,10 @@ Edge = tuple[int, int]
 # anything is allocated; far above J's 32n for any source the solvers can run.
 MAX_VERTICES = 2**20
 
+# Every isolated vertex shares this neighbor set; a fresh empty frozenset per
+# vertex costs 224 bytes, and frozenset() is not a singleton.
+_NO_NEIGHBORS: frozenset[int] = frozenset()
+
 
 def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -50,7 +54,7 @@ class Graph:
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
         self.n = n
         self._adj = tuple(map(tuple, adj))
-        self._adjsets = tuple(map(frozenset, self._adj))
+        self._adjsets = tuple(frozenset(nbrs) if nbrs else _NO_NEIGHBORS for nbrs in self._adj)
         self.m = sum(map(len, self._adj)) // 2
 
     @classmethod

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vclab import flow
 from vclab.errors import QueryError
 from vclab.flow import (
     ConnectivitySweep,
     FlowNetwork,
     _blocking_flow,
+    _min_cut,
     _sink_distances,
     cut_disconnects,
     max_flow,
@@ -207,6 +209,67 @@ def test_max_flow_matches_reference(element):
             a, b = (aimed(g, u, v, terminals if element else None) for _ in range(2))
             # identical cut arc lists pin byte-identical certificates
             assert max_flow(a, cutoff) == reference_max_flow(b, cutoff)
+
+
+def k6():
+    return Graph.from_edges(6, itertools.combinations(range(6), 2))
+
+
+def k25():
+    """K_{2,5}: hubs 0 and 1, not adjacent, share the five leaves 2..6."""
+    return Graph.from_edges(7, [(h, x) for h in (0, 1) for x in range(2, 7)])
+
+
+def warm_start_cases():
+    """(graph, u, v, extra terminals): adjacent endpoints, degree-0 endpoints,
+    terminals among the common neighbours, and random graphs."""
+    yield k6(), 0, 1, ()
+    yield k6(), 2, 5, (1, 3)  # two of the four common neighbours are terminals
+    yield k25(), 0, 1, (4,)
+    yield k25(), 2, 3, (0,)
+    yield p3(), 0, 2, (1,)
+    path_and_isolated = Graph.from_edges(4, [(0, 1), (1, 2)])
+    yield path_and_isolated, 0, 3, (1,)
+    yield path_and_isolated, 3, 1, ()
+    rng = random.Random(4711)
+    for _ in range(40):
+        n = rng.randint(2, 14)
+        g = gen_gnp(n, rng.choice((0.2, 0.5, 0.8)), rng.randrange(10**6))
+        u, v = rng.sample(range(n), 2)
+        yield g, u, v, tuple(rng.sample(range(n), rng.randint(0, n)))
+
+
+@pytest.mark.parametrize("element", [False, True])
+def test_warm_started_query_matches_reference(element):
+    for g, u, v, extra in warm_start_cases():
+        terminals = {u, v, *extra} if element else None
+        paths = g.has_edge(u, v) + len(g.neighbor_set(u) & g.neighbor_set(v))
+        for cutoff in (None, 0, 1, max(paths - 1, 0), paths + 1):
+            sweep = ConnectivitySweep(g, terminals)
+            value = sweep.query(u, v, cutoff)
+            ref_value, ref_cut = reference_max_flow(aimed(g, u, v, terminals), cutoff)
+            assert value == ref_value, (g.edges(), u, v, terminals, cutoff)
+            if cutoff is None:
+                # the warm start leaves the same residual source side
+                assert _min_cut(sweep.net, value) == ref_cut
+
+
+def test_query_at_the_degree_bound_runs_no_search(monkeypatch):
+    searches = []
+    search = flow._sink_distances
+    monkeypatch.setattr(flow, "_sink_distances", lambda net: searches.append(net) or search(net))
+    # the edge and four common neighbours, then five common neighbours, reach
+    # min(deg u, deg v) = 5 before Dinic starts
+    assert ConnectivitySweep(k6()).query(0, 1) == 5
+    assert ConnectivitySweep(k25()).query(0, 1) == 5
+    assert searches == []
+    assert ConnectivitySweep(c4()).query(0, 2) == 2
+    assert searches == []
+    assert ConnectivitySweep(p3()).query(0, 1) == 1
+    assert searches == []
+    # hub 0 and leaf 2 share no neighbour, so the second path 0-3-1-2 needs a search
+    assert ConnectivitySweep(k25()).query(0, 2) == 2
+    assert searches
 
 
 def test_dead_end_next_to_the_sink_is_pruned():

@@ -120,6 +120,14 @@ def test_without_vertices_keeps_ids():
     assert h.degree(1) == 0
 
 
+def test_isolated_vertices_share_one_neighbor_set():
+    g = parse_graph("5 1\n1 3\n")
+    assert g.neighbor_set(0) == frozenset()
+    assert g.neighbor_set(0) is g.neighbor_set(2) is g.neighbor_set(4)
+    h = g.without_vertices([1])
+    assert h.neighbor_set(3) is h.neighbor_set(1) is g.neighbor_set(0)
+
+
 def test_with_edges_and_union():
     g = Graph.from_edges(3, [(0, 1)])
     assert g.with_edges([(1, 2), (0, 1)]).edges() == [(0, 1), (1, 2)]

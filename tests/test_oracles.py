@@ -3,6 +3,7 @@ import random
 import pytest
 
 from vclab.errors import DemandError, QueryError, SizeGuardError
+from vclab.flow import ConnectivitySweep
 from vclab.graphs import EdgeSet, Graph, gen_gnp, gen_planted_4clique
 from vclab.oracles import (
     brute_4clique,
@@ -117,3 +118,32 @@ def test_random_edge_subset():
     assert len(random_edge_subset(g, 1.0, random.Random(1))) == g.m
     sub = random_edge_subset(g, 0.5, random.Random(2))
     assert all(g.has_edge(u, v) for u, v in sub)
+
+
+@pytest.mark.parametrize("n, p", [(50, 0.2), (100, 0.1), (200, 0.05)])
+def test_sweep_matches_networkx(n, p):
+    """A second max-flow implementation at medium n. networkx cuts vertices
+    only, so an adjacent pair's kappa is 1 + its kappa without the edge.
+    Only vertices 0-2 keep edges across the two halves, so a pair across
+    them has kappa <= 3, below its degrees."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import build_auxiliary_node_connectivity, local_node_connectivity
+    from networkx.algorithms.flow import build_residual_network
+
+    half = n // 2
+    g = gen_gnp(n, p, 8000 + n)
+    g = Graph.from_edges(n, [(a, b) for a, b in g.edges() if a < 3 or (a < half) == (b < half)])
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(range(n))
+    aux = build_auxiliary_node_connectivity(nxg)
+    residual = build_residual_network(aux, "capacity")
+    rng = random.Random(n)
+    adjacent = rng.sample(g.edges(), 5)
+    apart = [(u, v) for u, v in (rng.sample(range(n), 2) for _ in range(40)) if not g.has_edge(u, v)][:15]
+    sweep = ConnectivitySweep(g)
+    for u, v in apart:
+        assert sweep.query(u, v) == local_node_connectivity(nxg, u, v, auxiliary=aux, residual=residual)
+    for u, v in adjacent:
+        nxg.remove_edge(u, v)
+        assert sweep.query(u, v) == 1 + local_node_connectivity(nxg, u, v)
+        nxg.add_edge(u, v)
