@@ -1,9 +1,11 @@
 """Vertex-connectivity laboratory.
 
 Exact pairwise/single-source/global/Steiner vertex connectivity and element
-connectivity via unit-capacity max flow, degree-split and sampling-based
-fast solvers, and the clique-hardness constructions (filters, isolating
-gadget, the instances H and J) with machine-checkable identities.
+connectivity via unit-capacity max flow (fast_apvc and fast_ssvc are
+apvc_naive and ssvc under the paper's names, see vclab.solvers), the
+paper's sampling-based capped estimator, and the clique-hardness
+constructions (filters, isolating gadget, the instances H and J) with
+machine-checkable identities.
 """
 
 from .errors import (

@@ -1,8 +1,10 @@
 """Command-line front door.
 
 Subcommands: gen (instance generators), vc (solvers), reduce (hard-instance
-builders), verify (randomized property suites), bench (naive-vs-fast timing
-with outputs cross-checked before any time is reported).
+builders), verify (randomized property suites), bench (times the solvers
+named by --algos, whose outputs are cross-checked before any time is
+reported; `fast` is `naive` under the paper's name, so the default pair
+times one code path twice).
 
 Every randomized run either receives --seed or draws one and echoes it in
 the JSON report, so any result can be reproduced exactly. Payloads go to
@@ -171,10 +173,8 @@ def _solve_vc(args, parser, g, threads):
     if problem == "ssvc":
         if args.s is None:
             parser.error("ssvc needs --s")
-        if algo == "naive":
-            row = ssvc(g, args.s)
-        elif algo == "fast":
-            row = fast_ssvc(g, args.s, k=args.k, threads=threads)
+        if algo != "sampled":  # naive and fast are one solver
+            row = ssvc(g, args.s, threads=threads)
         else:
             if args.k is None:
                 parser.error("ssvc --algo sampled needs --k")
@@ -185,10 +185,8 @@ def _solve_vc(args, parser, g, threads):
         payload = "\t".join(str(x) for x in row) + "\n"
         return payload, {"source": args.s}
     # apvc
-    if algo == "naive":
+    if algo != "sampled":
         mat = apvc_naive(g, threads=threads)
-    elif algo == "fast":
-        mat = fast_apvc(g, k=args.k, threads=threads)
     else:
         if args.k is None:
             parser.error("apvc --algo sampled needs --k")
@@ -199,16 +197,18 @@ def _solve_vc(args, parser, g, threads):
 
 
 def cmd_vc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.k is not None and args.algo != "sampled":
+        raise VclabError("--k applies only to --algo sampled")
     t0 = time.time()
     g = _load_graph(args.graph)
     t_load = time.time()
     payload, result = _solve_vc(args, parser, g, resolve_threads(args.threads))
     t_solve = time.time()
-    params = {"k": args.k, "threads": args.threads}
+    params = {"threads": args.threads}
     if args.algo == "sampled":
-        params.update(c=args.c, fallback=args.fallback)
+        params.update(k=args.k, c=args.c, fallback=args.fallback)
     else:
-        args.seed = None  # only the sampler uses a seed, c and fallback, so only it echoes them
+        args.seed = None  # only the sampler uses a seed, k, c and fallback, so only it echoes them
     rep = _report(
         args,
         problem=args.problem,
@@ -292,12 +292,11 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def _bench_once(problem, algo, g, threads):
     t0 = time.time()
     if problem == "apvc":
-        out = apvc_naive(g, threads=threads) if algo == "naive" else fast_apvc(g, threads=threads)
-        payload = out.to_tsv()
+        solve = apvc_naive if algo == "naive" else fast_apvc
+        payload = solve(g, threads=threads).to_tsv()
     else:
-        row = ssvc(g, 0) if algo == "naive" else fast_ssvc(g, 0, threads=threads)
-        out = row
-        payload = "\t".join(str(x) for x in row) + "\n"
+        solve = ssvc if algo == "naive" else fast_ssvc
+        payload = "\t".join(str(x) for x in solve(g, 0, threads=threads)) + "\n"
     return payload, time.time() - t0
 
 

@@ -1,18 +1,19 @@
 """Pairwise, single-source, global, and Steiner vertex connectivity.
 
-Three layers:
+Two layers:
 
 - definitional solvers (apvc_naive, ssvc, global_vc, steiner_vc) that run one
-  max flow per pair;
-- degree-split fast solvers (fast_apvc, fast_ssvc): a pair of two
-  high-degree vertices gets an uncapped max flow, and every other pair one
-  flow capped at k, which is exact there because kappa is at most the
-  smaller endpoint degree;
+  max flow per pair. fast_apvc and fast_ssvc are the same functions under the
+  names of the paper's fast algorithms. Those split V at a degree threshold k
+  and cap every flow that touches a low vertex at k, which is exact because
+  kappa is at most the smaller endpoint degree. Every query already stops at
+  that degree, so the split would change no flow and nothing here calls it;
+  degree_split remains as the paper's partition;
 - the paper's sampled capped estimator (capped_apvc_sampled,
   capped_ssvc_sampled): t random terminal sets, capped element connectivity
   inside each, entrywise minima as estimates that never undershoot
   min(kappa, k). It pays off only with a near-linear element-connectivity
-  Gomory-Hu tree, which vclab lacks, so the fast solvers do not use it.
+  Gomory-Hu tree, which vclab lacks, so the exact solvers do not use it.
 
 Every randomized routine takes an explicit seed, and each sample set gets
 its own derived RNG, so serial and parallel runs draw identical sets. All
@@ -148,6 +149,7 @@ class DegreeSplit:
 
 
 def degree_split(g: Graph, k: int) -> DegreeSplit:
+    """The paper's partition at k; no solver here calls it (module docstring)."""
     high = tuple(v for v in range(g.n) if g.degree(v) > k)
     low = tuple(v for v in range(g.n) if g.degree(v) <= k)
     return DegreeSplit(k, high, low)
@@ -197,33 +199,39 @@ def _fan_out(g: Graph, jobs: Sequence[Job], threads: int) -> list[list[int]]:
     return out
 
 
-def _solve_pairs(
-    g: Graph, pairs: Sequence[Edge], threads: int, cutoff: int | None = None
-) -> dict[Edge, int]:
-    """kappa of each pair, min(kappa, cutoff) with a cutoff, by one flow each;
-    the pairs are dealt round-robin over `threads` chunks."""
+def _solve_pairs(g: Graph, pairs: Sequence[Edge], threads: int) -> list[int]:
+    """kappa of each pair, in pair order, by one flow each; the pairs are
+    dealt round-robin over `threads` chunks."""
     step = min(max(threads, 1), len(pairs))
-    chunks = [pairs[i::step] for i in range(step)]
-    out: dict[Edge, int] = {}
-    for chunk, values in zip(chunks, _fan_out(g, [(None, ch, cutoff) for ch in chunks], threads)):
-        out.update(zip(chunk, values))
+    out = [0] * len(pairs)
+    jobs = [(None, pairs[i::step], None) for i in range(step)]
+    for i, values in enumerate(_fan_out(g, jobs, threads)):
+        out[i::step] = values
     return out
 
 
 def apvc_naive(g: Graph, threads: int = 1) -> ConnectivityMatrix:
     """kappa for every pair, by one max flow each."""
     mat = ConnectivityMatrix.empty(g.n)
-    for (u, v), value in _solve_pairs(g, _all_pairs(g.n), threads).items():
+    pairs = _all_pairs(g.n)
+    for (u, v), value in zip(pairs, _solve_pairs(g, pairs, threads)):
         mat.put(u, v, value)
     return mat
 
 
-def ssvc(g: Graph, s: int) -> list[int]:
-    """kappa(s, v) for every v; the source slot holds the diagonal sentinel."""
+def ssvc(g: Graph, s: int, threads: int = 1) -> list[int]:
+    """kappa(s, v) for every v, by one max flow each; the source slot holds
+    the diagonal sentinel."""
     if not 0 <= s < g.n:
         raise QueryError(f"source {s} out of range for n={g.n}")
-    sweep = ConnectivitySweep(g)
-    return [DIAG if v == s else sweep.query(s, v) for v in range(g.n)]
+    row = _solve_pairs(g, [(s, v) for v in range(g.n) if v != s], threads)
+    row.insert(s, DIAG)
+    return row
+
+
+# The paper's fast algorithms run exactly these flows here (module docstring).
+fast_apvc = apvc_naive
+fast_ssvc = ssvc
 
 
 def _min_over_pairs(g: Graph, pairs: Iterable[Edge], cutoff: int | None) -> int:
@@ -401,57 +409,4 @@ def capped_ssvc_sampled(
     for p in pairs:
         v = p[0] if p[1] == s else p[1]
         out[v] = mat.entry(s, v)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Degree-split fast solvers.
-# ---------------------------------------------------------------------------
-
-
-def default_apvc_threshold(m: int) -> int:
-    return math.ceil(m ** (2.0 / 5.0))
-
-
-def default_ssvc_threshold(m: int) -> int:
-    return math.ceil(m ** (1.0 / 3.0))
-
-
-def _split_solve(g: Graph, pairs: Sequence[Edge], k: int, threads: int) -> dict[Edge, int]:
-    """Exact kappa of each pair via the degree split at k.
-
-    A pair of two high-degree vertices gets an uncapped flow. Any other pair
-    has kappa <= k, since kappa is at most either endpoint's degree, so one
-    flow capped at k already returns it exactly.
-    """
-    if k < 0:
-        raise QueryError(f"degree threshold k must be >= 0, got {k}")
-    split = degree_split(g, k)
-    split.validate(g)
-    high = set(split.high)
-    both_high = [p for p in pairs if p[0] in high and p[1] in high]
-    touch_low = [p for p in pairs if p[0] not in high or p[1] not in high]
-    return {**_solve_pairs(g, both_high, threads), **_solve_pairs(g, touch_low, threads, cutoff=k)}
-
-
-def fast_apvc(g: Graph, k: int | None = None, threads: int = 1) -> ConnectivityMatrix:
-    """Exact APVC via the degree split at k (default: m^(2/5))."""
-    if k is None:
-        k = default_apvc_threshold(g.m)
-    mat = ConnectivityMatrix.empty(g.n)
-    for p, value in _split_solve(g, _all_pairs(g.n), k, threads).items():
-        mat.put(*p, value)
-    return mat
-
-
-def fast_ssvc(g: Graph, s: int, k: int | None = None, threads: int = 1) -> list[int]:
-    """Exact SSVC via the degree split at k (default: m^(1/3))."""
-    if not 0 <= s < g.n:
-        raise QueryError(f"source {s} out of range for n={g.n}")
-    if k is None:
-        k = default_ssvc_threshold(g.m)
-    out = [DIAG] * g.n
-    pairs = [(s, v) for v in range(g.n) if v != s]
-    for (_, v), value in _split_solve(g, pairs, k, threads).items():
-        out[v] = value
     return out

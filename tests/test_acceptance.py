@@ -22,8 +22,6 @@ from vclab.oracles import random_edge_subset
 from vclab.solvers import (
     apvc_naive,
     capped_apvc_sampled,
-    fast_apvc,
-    fast_ssvc,
     ssvc,
 )
 from vclab.verify import (
@@ -141,20 +139,22 @@ def test_criterion_8_fast_solver_exactness():
         checks = 0
         for g in instances:
             want = apvc_naive(g)
-            s = rng.randrange(g.n)
-            want_row = ssvc(g, s)
-            for k in (0, None, g.n):
-                assert fast_apvc(g, k=k) == want, f"apvc k={k} on {emit_graph(g)}"
-                assert fast_ssvc(g, s, k=k) == want_row, f"ssvc k={k} on {emit_graph(g)}"
-                checks += 2
-        # default-threshold sweep at the reference scale
+            for s in range(g.n):
+                for threads in (1, 2):
+                    row = ssvc(g, s, threads=threads)
+                    assert row == [int(x) for x in want.values[s]], f"s={s} on {emit_graph(g)}"
+                    checks += 1
+        # reference scale: one random source per graph
         for seed in range(100):
             g = gen_gnp(20, 0.3, 7000 + seed)
-            assert fast_apvc(g) == apvc_naive(g), f"default k on seed {seed}"
-            checks += 1
-        return f"{len(instances)} instances x 3 cap regimes + 100 at default k, {checks} comparisons"
+            want = apvc_naive(g)
+            s = rng.randrange(g.n)
+            for threads in (1, 2):
+                assert ssvc(g, s, threads=threads) == [int(x) for x in want.values[s]], f"seed {seed}"
+                checks += 1
+        return f"{len(instances)} instances x every source + 100 at n=20, {checks} comparisons"
 
-    _criterion(8, "fast solvers equal naive for k in {0, default, n}", 600, run)
+    _criterion(8, "ssvc rows equal apvc_naive rows, threads 1 and 2", 600, run)
 
 
 def test_criterion_9_structural_constants():

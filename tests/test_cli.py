@@ -141,10 +141,10 @@ def test_vc_report_echoes_sampler_params_only_for_sampled(tmp_path, capsys):
     base = ["vc", "apvc", "--graph", path, "--threads", "1", "--out", out]
     assert main(base + ["--algo", "fast"]) == 0
     params = json.loads(capsys.readouterr().out)["params"]
-    assert "c" not in params and "fallback" not in params
+    assert "c" not in params and "fallback" not in params and "k" not in params
     assert main(base + ["--algo", "sampled", "--k", "2", "--seed", "1"]) == 0
     params = json.loads(capsys.readouterr().out)["params"]
-    assert params["c"] == 4.0 and params["fallback"] is True
+    assert params["c"] == 4.0 and params["fallback"] is True and params["k"] == 2
 
 
 def test_vc_param_validation(tmp_path):
@@ -172,6 +172,8 @@ def test_vc_unreadable_graph_exit_2(tmp_path, capsys):
     ["ssvc", "--algo", "sampled", "--s", "0", "--k", "2", "--c", "0"],
     ["steiner", "--terminals", "a b"],
     ["apvc", "--algo", "sampled", "--k", "3", "--c", "1e308"],  # c k^2 ln n overflows
+    ["apvc", "--algo", "naive", "--k", "3"],  # --k applies only to sampled
+    ["apvc", "--algo", "fast", "--k", "3"],
 ])
 def test_vc_bad_input_exit_2(tmp_path, capsys, argv):
     path = p3_file(tmp_path)
