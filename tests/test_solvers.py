@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vclab.errors import InconsistencyError, QueryError
 from vclab.flow import ConnectivitySweep, vertex_connectivity
@@ -214,6 +216,26 @@ def test_fast_names_are_the_definitional_solvers():
     assert fast_ssvc is ssvc
     with pytest.raises(QueryError):
         fast_ssvc(k4(), -1)
+
+
+@given(st.integers(0, 40), st.floats(0.1, 0.9), st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_fast_apvc_matches_naive(n, p, seed):
+    g = gen_gnp(min(n, 9), p, seed)
+    assert fast_apvc(g) == apvc_naive(g)
+    assert fast_apvc(g, threads=2) == apvc_naive(g)
+
+
+def test_fast_ssvc_matches_ssvc():
+    rng = random.Random(56)
+    for _ in range(8):
+        n = rng.randint(2, 10)
+        g = gen_gnp(n, rng.uniform(0.2, 0.8), rng.randrange(10**6))
+        s = rng.randrange(n)
+        assert fast_ssvc(g, s) == ssvc(g, s)
+        assert fast_ssvc(g, s, threads=2) == ssvc(g, s)
+    with pytest.raises(QueryError):
+        fast_ssvc(g, -1)
 
 
 def test_threads_do_not_change_answers():
