@@ -1,10 +1,7 @@
 """Command-line front door.
 
 Subcommands: gen (instance generators), vc (solvers), reduce (hard-instance
-builders), verify (randomized property suites), bench (times the solvers
-named by --algos, whose outputs are cross-checked before any time is
-reported; `fast` is `naive` under the paper's name, so the default pair
-times one code path twice).
+builders), verify (randomized property suites).
 
 Every randomized run either receives --seed or draws one and echoes it in
 the JSON report, so any result can be reproduced exactly. Payloads go to
@@ -40,8 +37,6 @@ from .solvers import (
     apvc_naive,
     capped_apvc_sampled,
     capped_ssvc_sampled,
-    fast_apvc,
-    fast_ssvc,
     global_vc,
     ssvc,
     steiner_vc,
@@ -285,54 +280,6 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def _bench_once(problem, algo, g, threads):
-    t0 = time.time()
-    if problem == "apvc":
-        solve = apvc_naive if algo == "naive" else fast_apvc
-        payload = solve(g, threads=threads).to_tsv()
-    else:
-        solve = ssvc if algo == "naive" else fast_ssvc
-        payload = "\t".join(str(x) for x in solve(g, 0, threads=threads)) + "\n"
-    return payload, time.time() - t0
-
-
-def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    seed = _ensure_seed(args)
-    threads = resolve_threads(args.threads)
-    algos = args.algos.split(",")
-    for algo in algos:
-        if algo not in ("naive", "fast"):
-            parser.error(f"unknown algo {algo!r}")
-    try:
-        sizes = [int(s) for s in args.sizes.split(",")]
-        graphs = [gen_gnp(n, args.p, seed + n) for n in sizes]
-    except ValueError as exc:
-        raise VclabError(f"bad --sizes or --p: {exc}") from None
-    rows = ["problem\talgo\tn\tm\tseconds"]
-    for n, g in zip(sizes, graphs):
-        payloads = {}
-        times = {}
-        for algo in algos:
-            payloads[algo], times[algo] = _bench_once(args.problem, algo, g, threads)
-        baseline = payloads[algos[0]]
-        for algo in algos[1:]:
-            if payloads[algo] != baseline:
-                raise InconsistencyError(
-                    f"algo outputs differ at n={n}: {algos[0]} vs {algo}"
-                )
-        for algo in algos:
-            rows.append(f"{args.problem}\t{algo}\t{n}\t{g.m}\t{times[algo]:.4f}")
-    table = "\n".join(rows) + "\n"
-    rep = _report(args, problem=args.problem, algos=algos, sizes=sizes, p=args.p)
-    _deliver(table, args.out, rep)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,15 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--c", type=float)
     p_ver.set_defaults(fn=cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="time solvers against each other")
-    p_bench.add_argument("problem", choices=["apvc", "ssvc"])
-    p_bench.add_argument("--algos", default="naive,fast")
-    p_bench.add_argument("--sizes", default="40")
-    p_bench.add_argument("--p", type=float, default=0.5)
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--threads", type=int)
-    p_bench.add_argument("--out")
-    p_bench.set_defaults(fn=cmd_bench)
     return parser
 
 

@@ -220,9 +220,9 @@ def _sink_distances(net: FlowNetwork) -> list[int]:
     return dist
 
 
-def _blocking_flow(net: FlowNetwork, dist: list[int], budget: int | None) -> int:
-    """Push a blocking flow along arcs that step one label toward the sink;
-    optionally stop at budget. Dead ends get label -1, which no arc matches."""
+def _blocking_flow(net: FlowNetwork, dist: list[int], budget: int) -> int:
+    """Push a blocking flow along arcs that step one label toward the sink,
+    stopping at budget. Dead ends get label -1, which no arc matches."""
     cap, to, adj = net.cap, net.to, net.adj
     it = [0] * net.num_nodes
     s, t = net.source, net.sink
@@ -232,13 +232,13 @@ def _blocking_flow(net: FlowNetwork, dist: list[int], budget: int | None) -> int
     while True:
         if u == t:
             push = min(cap[a] for a in path)
-            if budget is not None and push > budget - total:
+            if push > budget - total:
                 push = budget - total
             for a in path:
                 cap[a] -= push
                 cap[a ^ 1] += push
             total += push
-            if budget is not None and total >= budget:
+            if total >= budget:
                 return total
             for i, a in enumerate(path):
                 if cap[a] == 0:
@@ -269,14 +269,13 @@ def _blocking_flow(net: FlowNetwork, dist: list[int], budget: int | None) -> int
             it[u] += 1
 
 
-def _dinic(net: FlowNetwork, cutoff: int | None = None) -> int:
+def _dinic(net: FlowNetwork, cutoff: int) -> int:
     value = 0
-    while cutoff is None or value < cutoff:
+    while value < cutoff:
         dist = _sink_distances(net)
         if dist[net.source] < 0:
             break
-        budget = None if cutoff is None else cutoff - value
-        value += _blocking_flow(net, dist, budget)
+        value += _blocking_flow(net, dist, cutoff - value)
     return value
 
 
@@ -306,7 +305,10 @@ def max_flow(net: FlowNetwork, cutoff: int | None = None) -> tuple[int, list[int
     stops once `cutoff` units are routed; if the cutoff was hit the flow need
     not be maximum and the returned cut list is empty.
     """
-    value = _dinic(net, cutoff)
+    # an augmenting path leaves the source once and never returns to it, so
+    # the flow cannot exceed the residual capacity out of the source
+    limit = sum(net.cap[a] for a in net.adj[net.source]) if cutoff is None else cutoff
+    value = _dinic(net, limit)
     if cutoff is not None and value >= cutoff:
         return value, []
     return value, _min_cut(net, value)

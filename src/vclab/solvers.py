@@ -168,9 +168,10 @@ def _all_pairs(n: int) -> list[Edge]:
 # element mode when terminals are given, queried once per pair.
 Job = tuple[tuple[int, ...] | None, list[Edge], int | None]
 
-# Below this many queries in total, starting worker processes costs more
-# than it saves.
-_MIN_POOLED_QUERIES = 32
+# A flow phase scans O(m) arcs, so queries x m measures a batch's work. On
+# two CPUs the pool breaks even between 60k and 100k of it; below this,
+# starting worker processes costs more than it saves.
+_MIN_POOLED_WORK = 80_000
 
 
 def _run_jobs(g: Graph, jobs: Sequence[Job]) -> list[list[int]]:
@@ -187,9 +188,10 @@ def _fan_out(g: Graph, jobs: Sequence[Job], threads: int) -> list[list[int]]:
 
     Jobs are dealt round-robin over `threads` worker processes. Each worker
     receives the graph itself (a Graph is immutable and pickles) with its
-    chunk of jobs, and runs them in turn with `_run_jobs`.
+    chunk of jobs, and runs them in turn with `_run_jobs`. A batch with less
+    work than `_MIN_POOLED_WORK` runs in the calling process instead.
     """
-    if threads <= 1 or sum(len(job[1]) for job in jobs) < _MIN_POOLED_QUERIES:
+    if threads <= 1 or sum(len(job[1]) for job in jobs) * g.m < _MIN_POOLED_WORK:
         return _run_jobs(g, jobs)
     chunks = [jobs[i::threads] for i in range(min(threads, len(jobs)))]
     out: list[list[int]] = [[] for _ in jobs]

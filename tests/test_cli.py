@@ -190,8 +190,6 @@ def test_vc_bad_input_exit_2(tmp_path, capsys, argv):
     ["verify", "flow", "--n", "1"],
     ["gen", "gnp", "--n", "5", "--p", "0.5", "--seed", "1", "--out", "{missing}/x.txt"],
     ["verify", "flow", "--seeds", "-1"],
-    ["bench", "apvc", "--sizes", "abc"],
-    ["bench", "apvc", "--sizes", "6", "--p", "2"],
     ["verify", "flow", "--n", "100000", "--seeds", "1"],  # above the brute-force limit
 ])
 def test_gen_verify_out_bad_input_exit_2(tmp_path, argv):
@@ -266,7 +264,7 @@ def test_reduce_rejects_foreign_demand(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# verify / bench
+# verify
 # ---------------------------------------------------------------------------
 
 
@@ -281,36 +279,12 @@ def test_verify_sampler_flags(capsys):
     assert "suite sampler: pass" in capsys.readouterr().out
 
 
-def test_bench_table(tmp_path, capsys):
-    out = tmp_path / "bench.tsv"
-    assert main(["bench", "apvc", "--sizes", "8,12", "--p", "0.5", "--seed", "1",
-                 "--threads", "1", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "problem\talgo\tn\tm\tseconds"
-    assert len(lines) == 5  # two algos at two sizes
-    for row in lines[1:]:
-        problem, algo, n, m, seconds = row.split("\t")
-        assert problem == "apvc" and algo in ("naive", "fast")
-        float(seconds)
-    report = json.loads(capsys.readouterr().out)
-    assert report["sizes"] == [8, 12]
-
-
-def test_bench_fast_within_3x_of_naive(tmp_path):
-    # measured ~1.0x at this size; 3x leaves headroom for load jitter
-    out = tmp_path / "bench.tsv"
-    assert main(["bench", "apvc", "--sizes", "40", "--p", "0.5", "--seed", "1",
-                 "--threads", "1", "--out", str(out)]) == 0
-    rows = [r.split("\t") for r in out.read_text().splitlines()[1:]]
-    times = {algo: float(seconds) for _, algo, _, _, seconds in rows}
-    assert times["fast"] <= 3.0 * times["naive"]
-
-
-def test_bench_ssvc(tmp_path):
-    out = tmp_path / "bench.tsv"
-    assert main(["bench", "ssvc", "--sizes", "10", "--seed", "2", "--threads", "1",
-                 "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 3
+def test_bench_subcommand_is_gone(capsys):
+    # perfbench/run.py is the one benchmark; argparse rejects the old choice
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "apvc"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

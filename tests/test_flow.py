@@ -285,7 +285,7 @@ def test_dead_end_next_to_the_sink_is_pruned():
     net = build()
     dist = _sink_distances(net)
     assert dist == [3, 2, 2, 1, 1, 0]
-    assert _blocking_flow(net, dist, None) == 2
+    assert _blocking_flow(net, dist, 2) == 2
     assert dist[3] == -1  # c was marked dead during the phase
     assert _sink_distances(net)[0] == -1  # the flow is maximum
     assert max_flow(build()) == reference_max_flow(build()) == (2, [0, 2])

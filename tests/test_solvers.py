@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vclab import solvers
 from vclab.errors import InconsistencyError, QueryError
 from vclab.flow import ConnectivitySweep, vertex_connectivity
 from vclab.graphs import Graph, gen_gnp
@@ -245,8 +246,7 @@ def test_threads_do_not_change_answers():
     two = capped_apvc_sampled(g, 3, seed=9, threads=2)
     assert one == two
     assert fast_apvc(g, threads=2) == fast_apvc(g, threads=1)
-    # sparse: most vertices are low-degree (5 is m^(1/3) rounded up, m = 86),
-    # and a row from a low source is pooled as well
+    # sparse: most vertices are low-degree (5 is m^(1/3) rounded up, m = 86)
     sparse = gen_gnp(40, 0.1, 7)
     low = degree_split(sparse, 5).low
     assert len(low) > sparse.n // 2
@@ -254,3 +254,43 @@ def test_threads_do_not_change_answers():
     s = low[0]
     assert fast_ssvc(sparse, s, threads=2) == fast_ssvc(sparse, s, threads=1) == ssvc(sparse, s)
     assert ssvc(sparse, s, threads=2) == ssvc(sparse, s)
+    # enough work for the pool: the matrix is computed in two worker processes
+    dense = dense_exact_graph()
+    assert apvc_naive(dense, threads=2) == apvc_naive(dense, threads=1)
+
+
+def dense_exact_graph():
+    """A graph of the benchmark's dense-exact size: n = 30, m = 218."""
+    edges = random.Random(1).sample(list(itertools.combinations(range(30), 2)), 218)
+    return Graph.from_edges(30, edges)
+
+
+def test_fan_out_pools_only_work_worth_a_pool(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records each pool, maps in process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(solvers, "ProcessPoolExecutor", RecordingPool)
+    # 66 queries on m = 36 and 39 on m = 228: forking costs more than the flows
+    small = gen_gnp(12, 0.5, 1)
+    assert apvc_naive(small, threads=2) == apvc_naive(small)
+    mid = gen_gnp(40, 0.3, 1)
+    assert ssvc(mid, 0, threads=2) == ssvc(mid, 0)
+    assert pools == []
+    # dense-exact's batch: 435 queries on m = 218, where the two are tied
+    dense = dense_exact_graph()
+    assert apvc_naive(dense, threads=2) == apvc_naive(dense)
+    assert pools == [2]
