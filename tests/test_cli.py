@@ -190,6 +190,8 @@ def test_vc_bad_input_exit_2(tmp_path, capsys, argv):
     ["verify", "flow", "--n", "1"],
     ["gen", "gnp", "--n", "5", "--p", "0.5", "--seed", "1", "--out", "{missing}/x.txt"],
     ["verify", "flow", "--seeds", "-1"],
+    ["gen", "fourpartite", "--graph", "{missing}/g.txt"],  # unreadable source graph
+    ["verify", "sampler", "--c", "0"],
     ["verify", "flow", "--n", "100000", "--seeds", "1"],  # above the brute-force limit
 ])
 def test_gen_verify_out_bad_input_exit_2(tmp_path, argv):
