@@ -270,10 +270,12 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         kwargs["trials"] = args.seeds
     if args.n is not None:
         kwargs["max_n"] = args.n
-    if args.suite == "sampler":
+    if args.suite != "sampler" and (args.c is not None or args.fallback is not None):
+        raise VclabError("--c and --fallback apply only to the sampler suite")
+    if args.c is not None:
+        kwargs["c"] = args.c
+    if args.fallback is not None:
         kwargs["fallback"] = args.fallback
-        if args.c is not None:
-            kwargs["c"] = args.c
     result = suite(**kwargs)
     print(result.summary())
     return 0 if result.ok else 1
@@ -323,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seeds", type=int, help="number of randomized trials")
     p_ver.add_argument("--n", type=int, help="max instance size")
     p_ver.add_argument("--seed", type=int)
-    p_ver.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=True)
-    p_ver.add_argument("--c", type=float)
+    p_ver.add_argument("--fallback", action=argparse.BooleanOptionalAction, help="sampler only")
+    p_ver.add_argument("--c", type=float, help="sampler only")
     p_ver.set_defaults(fn=cmd_verify)
 
     return parser

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import json
 import random
 import re
 from dataclasses import dataclass
@@ -231,21 +232,24 @@ class LabeledInstance:
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document; errors name the offending line (1-based).
 
-    A canonical document, as emit_graph writes it, is tokenised in one bulk
-    pass. Any other document, and a canonical-looking one that fails a check,
-    goes to the line parser, the only code that accepts other spacing or
-    names an error.
+    A canonical document, as emit_graph writes it, is checked and tokenised
+    by a few whole-string passes in C (str.translate, json.loads). Any other
+    document, and a canonical-looking one that fails a check, goes to the
+    line parser, the only code that accepts other spacing or names an error.
     """
     g = _parse_canonical(text)
     return g if g is not None else _parse_lines(text)
 
 
 _CANONICAL_HEADER = re.compile(r"[0-9]+ [0-9]+")
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+_SEPARATORS_TO_COMMAS = str.maketrans(" \n", ",,")
 
 
 def _parse_canonical(text: str) -> Graph | None:
     """The graph of a document whose edge lines are all "u v\n" in ASCII
-    digits, or None when the document is not of that form or not valid."""
+    digits without leading zeros, or None when the document is not of that
+    form or not valid."""
     head, _, body = text.partition("\n")
     if not _CANONICAL_HEADER.fullmatch(head):
         return None
@@ -258,26 +262,14 @@ def _parse_canonical(text: str) -> Graph | None:
         body = body[: cut + 1]
     if not body:
         return Graph.from_edges(n, []) if m == 0 else None
-    # deferred: a module-level import here loads numpy before the rest of
-    # vclab, which measured slower to import
-    import numpy as np
-
-    raw = np.frombuffer(body.encode(), dtype=np.uint8)
-    seps = np.flatnonzero((raw < 48) | (raw > 57))  # every byte but an ASCII digit
-    # canonical lines: separators alternate space, newline, with a digit run
-    # before each, and the last one ends the body
-    if not (
-        m > 0
-        and len(seps) == 2 * m
-        and seps[0] > 0
-        and seps[-1] == len(raw) - 1
-        and (raw[seps[0::2]] == 32).all()
-        and (raw[seps[1::2]] == 10).all()
-        and (np.diff(seps) > 1).all()
-    ):
+    # canonical lines: with the digits gone, the separators alternate space,
+    # newline; the length test comes first, so a huge m allocates nothing
+    seps = body.translate(_DROP_DIGITS)
+    if not (m > 0 and body[-1] == "\n" and len(seps) == 2 * m and seps == " \n" * m):
         return None
-    tokens = np.fromstring(body, dtype=np.int64, sep=" ").tolist()
+    # an empty digit run or a leading zero is not JSON, so json.loads rejects it
     try:
+        tokens = json.loads("[" + body[:-1].translate(_SEPARATORS_TO_COMMAS) + "]")
         return Graph.from_edges(n, zip(tokens[0::2], tokens[1::2]))
     except ValueError:
         return None

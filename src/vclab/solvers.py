@@ -30,8 +30,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import GraphParseError, InconsistencyError, QueryError
 from .flow import ConnectivitySweep
 from .graphs import Edge, Graph, canonical_edge
@@ -44,39 +42,41 @@ class ConnectivityMatrix:
     """Symmetric pairwise connectivity values; optionally capped at k."""
 
     n: int
-    values: np.ndarray
+    values: list[list[int]]
     cap: int | None = None
 
     @classmethod
     def empty(cls, n: int, cap: int | None = None) -> "ConnectivityMatrix":
         fill = cap if cap is not None else 0
-        values = np.full((n, n), fill, dtype=np.int64)
-        np.fill_diagonal(values, DIAG)
+        values = [[fill] * n for _ in range(n)]
+        for v in range(n):
+            values[v][v] = DIAG
         return cls(n, values, cap)
 
     def entry(self, u: int, v: int) -> int:
-        return int(self.values[u, v])
+        return self.values[u][v]
 
     def put(self, u: int, v: int, value: int) -> None:
-        self.values[u, v] = value
-        self.values[v, u] = value
+        self.values[u][v] = value
+        self.values[v][u] = value
 
     def validate(self) -> None:
-        assert self.values.shape == (self.n, self.n)
-        assert (self.values == self.values.T).all(), "matrix not symmetric"
-        assert (np.diag(self.values) == DIAG).all(), "diagonal sentinel missing"
-        off = self.values[~np.eye(self.n, dtype=bool)]
-        assert (off >= 0).all(), "negative connectivity entry"
-        if self.cap is not None:
-            assert (off <= self.cap).all(), "entry above the cap"
+        assert len(self.values) == self.n and all(len(row) == self.n for row in self.values)
+        for u, row in enumerate(self.values):
+            assert row[u] == DIAG, "diagonal sentinel missing"
+            for v in range(u + 1, self.n):
+                assert row[v] == self.values[v][u], "matrix not symmetric"
+                assert row[v] >= 0, "negative connectivity entry"
+                if self.cap is not None:
+                    assert row[v] <= self.cap, "entry above the cap"
 
     def min_offdiag(self) -> int:
         assert self.n >= 2
-        return int(min(self.values[u, v] for u in range(self.n) for v in range(u + 1, self.n)))
+        return min(self.values[u][v] for u in range(self.n) for v in range(u + 1, self.n))
 
     def to_tsv(self) -> str:
         lines = [str(self.n)]
-        lines += ["\t".join(str(int(x)) for x in row) for row in self.values]
+        lines += ["\t".join(map(str, row)) for row in self.values]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -103,16 +103,14 @@ class ConnectivityMatrix:
                 raise GraphParseError(f"non-integer entry in {ln!r}", line=i) from None
             if len(row) != n:
                 raise GraphParseError(f"expected {n} entries, found {len(row)}", line=i)
-            if not all(-(2**63) <= x < 2**63 for x in row):
-                raise GraphParseError(f"entry out of the 64-bit range in {ln!r}", line=i)
             values.append(row)
-        return cls(n, np.array(values, dtype=np.int64).reshape(n, n), cap)
+        return cls(n, values, cap)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ConnectivityMatrix)
             and self.n == other.n
-            and bool((self.values == other.values).all())
+            and self.values == other.values
         )
 
 
@@ -175,10 +173,14 @@ _MIN_POOLED_WORK = 80_000
 
 
 def _run_jobs(g: Graph, jobs: Sequence[Job]) -> list[list[int]]:
-    """Each job's query values, one sweep per job; a pool worker's whole task."""
+    """Each job's query values, one sweep per distinct terminal set (every
+    query resets the network); a pool worker's whole task."""
+    sweeps: dict[tuple[int, ...] | None, ConnectivitySweep] = {}
     out = []
     for terminals, pairs, cutoff in jobs:
-        sweep = ConnectivitySweep(g, terminals=terminals)
+        if terminals not in sweeps:
+            sweeps[terminals] = ConnectivitySweep(g, terminals=terminals)
+        sweep = sweeps[terminals]
         out.append([sweep.query(u, v, cutoff=cutoff) for u, v in pairs])
     return out
 

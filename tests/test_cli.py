@@ -193,6 +193,8 @@ def test_vc_bad_input_exit_2(tmp_path, capsys, argv):
     ["gen", "fourpartite", "--graph", "{missing}/g.txt"],  # unreadable source graph
     ["verify", "sampler", "--c", "0"],
     ["verify", "flow", "--n", "100000", "--seeds", "1"],  # above the brute-force limit
+    ["verify", "flow", "--c", "-1"],  # --c and --fallback belong to the sampler suite
+    ["verify", "gadget", "--no-fallback"],
 ])
 def test_gen_verify_out_bad_input_exit_2(tmp_path, argv):
     assert_cli_exit_2([arg.format(missing=tmp_path / "missing") for arg in argv])
@@ -209,13 +211,16 @@ def test_bad_input_files_exit_2(tmp_path, files, argv):
     assert_cli_exit_2([str(tmp_path / arg) if arg in files else arg for arg in argv])
 
 
-def assert_cli_exit_2(argv):
-    # a subprocess with a timeout, so a row that spins fails instead of hanging
+def run_python(args):
+    """Run a fresh interpreter that imports this vclab, with a timeout."""
     src = str(Path(vclab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "vclab.cli", *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def assert_cli_exit_2(argv):
+    # a subprocess with a timeout, so a row that spins fails instead of hanging
+    done = run_python(["-m", "vclab.cli", *argv])
     assert done.returncode == 2
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:")
@@ -312,3 +317,26 @@ def test_bad_threads_env_exit_2(tmp_path, monkeypatch, capsys):
     path = p3_file(tmp_path)
     assert main(["vc", "apvc", "--graph", path]) == 2
     assert THREADS_ENV in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+# ---------------------------------------------------------------------------
+
+STDLIB_ONLY = """
+import sys
+before = set(sys.modules)
+import vclab, vclab.cli
+from vclab.graphs import emit_graph, gen_gnp, parse_graph
+g = parse_graph(emit_graph(gen_gnp(8, 0.5, 1)))
+assert vclab.apvc_naive(g).to_tsv().startswith("8\\n")
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+# __mp_main__ is the name multiprocessing gives __main__, not a module of its own
+print(sorted(loaded - {"vclab", "__mp_main__"} - sys.stdlib_module_names))
+"""
+
+
+def test_vclab_needs_only_the_standard_library():
+    done = run_python(["-c", STDLIB_ONLY])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

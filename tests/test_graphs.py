@@ -63,6 +63,7 @@ def test_parse_k4():
         ("3 5\n0 1\n1 2", 1),  # header count mismatch reported at header
         ("100000000000 0\n", 1),  # above MAX_VERTICES, rejected before allocating
         ("100000000000 1\n0 1\n", 1),
+        ("3 100000000000\n0 1\n", 1),  # huge m, rejected before its separators are built
         (f"{MAX_VERTICES + 1} 0\n", 1),
     ],
 )

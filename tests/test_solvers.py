@@ -1,7 +1,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,10 +282,20 @@ def test_fan_out_pools_only_work_worth_a_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
+    builds = []
+    build = ConnectivitySweep.__init__
+
+    def counted_build(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
     monkeypatch.setattr(solvers, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ConnectivitySweep, "__init__", counted_build)
     # 66 queries on m = 36 and 39 on m = 228: forking costs more than the flows
     small = gen_gnp(12, 0.5, 1)
-    assert apvc_naive(small, threads=2) == apvc_naive(small)
+    in_process = apvc_naive(small, threads=2)
+    assert len(builds) == 1  # both in-process chunks query one network
+    assert in_process == apvc_naive(small)
     mid = gen_gnp(40, 0.3, 1)
     assert ssvc(mid, 0, threads=2) == ssvc(mid, 0)
     assert pools == []
