@@ -173,14 +173,15 @@ _MIN_POOLED_WORK = 80_000
 
 
 def _run_jobs(g: Graph, jobs: Sequence[Job]) -> list[list[int]]:
-    """Each job's query values, one sweep per distinct terminal set (every
-    query resets the network); a pool worker's whole task."""
-    sweeps: dict[tuple[int, ...] | None, ConnectivitySweep] = {}
+    """Each job's query values; a pool worker's whole task. A job with the
+    previous job's terminals reuses its sweep (every query resets the
+    network), and only one sweep is alive at a time."""
+    sweep: ConnectivitySweep | None = None
     out = []
     for terminals, pairs, cutoff in jobs:
-        if terminals not in sweeps:
-            sweeps[terminals] = ConnectivitySweep(g, terminals=terminals)
-        sweep = sweeps[terminals]
+        if sweep is None or terminals != last:
+            sweep = None  # free the previous network before building the next
+            sweep, last = ConnectivitySweep(g, terminals=terminals), terminals
         out.append([sweep.query(u, v, cutoff=cutoff) for u, v in pairs])
     return out
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -303,3 +304,27 @@ def test_fan_out_pools_only_work_worth_a_pool(monkeypatch):
     dense = dense_exact_graph()
     assert apvc_naive(dense, threads=2) == apvc_naive(dense)
     assert pools == [2]
+
+
+def test_sampled_estimates_hold_one_network_at_a_time(monkeypatch):
+    built = []  # a weak reference to each sweep, in build order
+    others_alive = []  # at each build, how many earlier sweeps are still alive
+    build = ConnectivitySweep.__init__
+
+    def counted_build(self, *args, **kwargs):
+        others_alive.append(sum(ref() is not None for ref in built))
+        built.append(weakref.ref(self))
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConnectivitySweep, "__init__", counted_build)
+    g = gen_gnp(12, 0.5, 1)
+    mat = capped_apvc_sampled(g, 3, seed=9)
+    # one job per sample set with a pair in it; a job reuses the sweep only
+    # when its set equals the previous job's, then one fallback sweep
+    jobs = [u for u in draw_sample_family(12, 3, seed=9).sets if len(u) >= 2]
+    assert len(built) == 1 + sum(a != b for a, b in zip([None] + jobs, jobs))
+    assert len(built) > 20
+    assert max(others_alive) == 0
+    exact = apvc_naive(g)
+    for u, v in itertools.combinations(range(12), 2):
+        assert mat.entry(u, v) == min(exact.entry(u, v), 3)
