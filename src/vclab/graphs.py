@@ -69,14 +69,17 @@ class Graph:
         if n < 0:
             raise ValueError(f"need n >= 0, got {n}")
         edges = list(edges)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        append = [nbrs.append for nbrs in adj]
+        # When 2m < n, most vertices have no edge: only the endpoints get a
+        # list and the others share (). Otherwise n lists cost O(m) anyway.
+        adj: list = [()] * n
+        for v in range(n) if 2 * len(edges) >= n else {x for e in edges for x in e if 0 <= x < n}:
+            adj[v] = []
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 _reject_first_bad_edge(n, edges)
-            append[u](v)
-            append[v](u)
-        for nbrs in adj:
+            adj[u].append(v)
+            adj[v].append(u)
+        for nbrs in filter(None, adj):
             nbrs.sort()
         g = cls(n, adj)
         # a duplicate edge shrinks its endpoints' neighbor sets below their lists

@@ -2,13 +2,15 @@
 
 Two layers:
 
-- definitional solvers (apvc_naive, ssvc, global_vc, steiner_vc) that run one
-  max flow per pair. fast_apvc and fast_ssvc are the same functions under the
-  names of the paper's fast algorithms. Those split V at a degree threshold k
-  and cap every flow that touches a low vertex at k, which is exact because
-  kappa is at most the smaller endpoint degree. Every query already stops at
-  that degree, so the split would change no flow and nothing here calls it;
-  degree_split remains as the paper's partition;
+- exact solvers: apvc_naive and ssvc run one max flow per pair they report,
+  steiner_vc one per terminal pair, and global_vc at most n - 1 + C(delta, 2)
+  from a minimum-degree pivot (its docstring has the proof). fast_apvc and
+  fast_ssvc are apvc_naive and ssvc under the names of the paper's fast
+  algorithms. Those split V at a degree threshold k and cap every flow that
+  touches a low vertex at k, which is exact because kappa is at most the
+  smaller endpoint degree. Every query already stops at that degree, so the
+  split would change no flow and nothing here calls it; degree_split remains
+  as the paper's partition;
 - the paper's sampled capped estimator (capped_apvc_sampled,
   capped_ssvc_sampled): t random terminal sets, capped element connectivity
   inside each, entrywise minima as estimates that never undershoot
@@ -26,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -154,7 +155,7 @@ def degree_split(g: Graph, k: int) -> DegreeSplit:
 
 
 # ---------------------------------------------------------------------------
-# Definitional solvers.
+# Exact solvers.
 # ---------------------------------------------------------------------------
 
 
@@ -196,6 +197,8 @@ def _fan_out(g: Graph, jobs: Sequence[Job], threads: int) -> list[list[int]]:
     """
     if threads <= 1 or sum(len(job[1]) for job in jobs) * g.m < _MIN_POOLED_WORK:
         return _run_jobs(g, jobs)
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     chunks = [jobs[i::threads] for i in range(min(threads, len(jobs)))]
     out: list[list[int]] = [[] for _ in jobs]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
@@ -252,10 +255,32 @@ def _min_over_pairs(g: Graph, pairs: Iterable[Edge], cutoff: int | None) -> int:
 
 
 def global_vc(g: Graph) -> int:
-    """min over all pairs (definitional sweep)."""
+    """min kappa over all pairs, from at most n - 1 + C(delta, 2) flows
+    (Esfahanian and Hakimi 1984).
+
+    The pivot v is a vertex of minimum degree delta, the lowest id on ties.
+    The minimum is taken over the pairs (v, w) for every w != v and over the
+    pairs of neighbours of v. Every pair value is at least kappa, so it
+    suffices that one of these pairs attains kappa. Let S be a minimum mixed
+    cut separating some a from some b, with vertex part S_V and edge part S_E.
+
+    - If v is not in S_V, then v stays in G - S, where a and b lie in
+      different components. v is apart from at least one of them (v may be
+      a or b itself), so S separates v from a or from b.
+    - If v is in S_V, minimality gives two facts. No edge of S_E touches v,
+      or dropping that edge would leave a smaller cut. And S - v no longer
+      separates a from b, so some simple a-b path in G - (S - v) passes
+      through v. Its neighbours x and y on that path are joined to a and
+      to b in G - S, so x, y are not in S_V, and S separates x from y.
+    """
     if g.n < 2:
         raise QueryError(f"global connectivity needs n >= 2, got n={g.n}")
-    return _min_over_pairs(g, _all_pairs(g.n), None)
+    v = min(range(g.n), key=g.degree)
+    pairs = itertools.chain(
+        ((v, w) for w in range(g.n) if w != v),
+        itertools.combinations(g.neighbors(v), 2),
+    )
+    return _min_over_pairs(g, pairs, None)
 
 
 def steiner_vc(g: Graph, terminals: Iterable[int], cutoff: int | None = None) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,19 @@ def test_isolated_vertices_share_one_neighbor_set():
     assert g.neighbor_set(0) is g.neighbor_set(2) is g.neighbor_set(4)
     h = g.without_vertices([1])
     assert h.neighbor_set(3) is h.neighbor_set(1) is g.neighbor_set(0)
+
+
+def test_isolated_vertices_cost_no_adjacency_list():
+    # the finished graph holds three 8 MiB tables (neighbors, neighbor sets,
+    # the list they are built from); a list per vertex peaked at 160 MiB
+    tracemalloc.start()
+    try:
+        g = parse_graph(f"{2**20} 1\n0 {2**20 - 1}\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.neighbors(0) == (2**20 - 1,) and g.degree(1) == 0
+    assert peak < 40 * 2**20
 
 
 def test_with_edges_and_union():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from vclab.oracles import (
     brute_mixed_cut,
     random_edge_subset,
 )
+from vclab.solvers import global_vc
 
 
 def k4_plus_tail():
@@ -147,3 +149,18 @@ def test_sweep_matches_networkx(n, p):
         nxg.remove_edge(u, v)
         assert sweep.query(u, v) == 1 + local_node_connectivity(nxg, u, v)
         nxg.add_edge(u, v)
+
+
+@pytest.mark.parametrize("n, p", [(50, 0.4), (100, 0.2), (200, 0.1)])
+def test_global_vc_matches_networkx(n, p):
+    """The glued graph joins its halves through vertices 0-2, so its kappa
+    is at most 3, below its typical degree."""
+    nx = pytest.importorskip("networkx")
+    half = n // 2
+    plain = gen_gnp(n, p, 8100 + n)
+    glued = Graph.from_edges(n, [(a, b) for a, b in plain.edges() if a < 3 or (a < half) == (b < half)])
+    # networkx cuts vertices only, which suffices: outside K_n a non-adjacent pair attains the minimum
+    for g in (plain, glued, Graph.from_edges(n // 10, list(itertools.combinations(range(n // 10), 2)))):
+        nxg = nx.Graph(g.edges())
+        nxg.add_nodes_from(range(g.n))
+        assert global_vc(g) == nx.node_connectivity(nxg)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import random
 import weakref
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vclab import solvers
 from vclab.errors import InconsistencyError, QueryError
 from vclab.flow import ConnectivitySweep, vertex_connectivity
 from vclab.graphs import Graph, gen_gnp
@@ -117,6 +117,78 @@ def test_steiner_cutoff():
     assert steiner_vc(g, (0, 1, 2), cutoff=0) == 0
     with pytest.raises(QueryError):
         steiner_vc(gen_gnp(30, 0.5, 1), [0, 1, 2], cutoff=-3)
+
+
+def complete(n):
+    return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
+
+
+def test_global_vc_special_graphs():
+    assert global_vc(Graph.from_edges(2, [])) == 0
+    assert global_vc(Graph.from_edges(2, [(0, 1)])) == 1
+    assert global_vc(Graph.from_edges(6, [])) == 0
+    for n in (3, 5, 8):  # every degree ties; the pivot is vertex 0
+        assert global_vc(complete(n)) == n - 1
+    # disconnected, every vertex of degree 2 or more
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert global_vc(two_triangles) == 0
+    # the pivot is leaf 1, not the centre 0
+    star = Graph.from_edges(6, [(0, v) for v in range(1, 6)])
+    assert global_vc(star) == 1
+    # two K4s joined by the edge 34: vertices 0-2 and 5-7 tie at degree 3
+    right = [(u + 4, v + 4) for u, v in itertools.combinations(range(4), 2)]
+    k4_pair = complete(4).union(Graph.from_edges(8, right + [(3, 4)]))
+    assert global_vc(k4_pair) == 1
+    # two K6s joined only through vertex 6, the one vertex of degree 4: the
+    # only minimum cut is {6}, every pair (6, w) has kappa 2, and only the
+    # neighbour pairs such as (4, 7) find 1
+    right = [(u + 7, v + 7) for u, v in itertools.combinations(range(6), 2)]
+    bridge = [(4, 6), (5, 6), (6, 7), (6, 8)]
+    k6_pair = complete(6).union(Graph.from_edges(13, right + bridge))
+    assert min(ssvc(k6_pair, 6)[w] for w in range(13) if w != 6) == 2
+    assert global_vc(k6_pair) == 1
+
+
+def test_global_vc_matches_all_pairs_seeded():
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        g = gen_gnp(n, rng.uniform(0.05, 0.95), rng.randrange(10**6))
+        assert global_vc(g) == apvc_naive(g).min_offdiag()
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_global_vc_matches_all_pairs(g):
+    assert global_vc(g) == apvc_naive(g).min_offdiag()
+
+
+def test_global_vc_queries_only_the_pivot_pairs(monkeypatch):
+    asked = []
+    query = ConnectivitySweep.query
+
+    def counted_query(self, u, v, cutoff=None):
+        asked.append((u, v))
+        return query(self, u, v, cutoff=cutoff)
+
+    monkeypatch.setattr(ConnectivitySweep, "query", counted_query)
+    g = dense_exact_graph()
+    delta = min(map(g.degree, range(g.n)))
+    pivot = min(v for v in range(g.n) if g.degree(v) == delta)
+    want = apvc_naive(g).min_offdiag()
+    asked.clear()
+    assert global_vc(g) == want
+    assert len(asked) <= (g.n - 1) + delta * (delta - 1) // 2 < 435
+    nbrs = g.neighbor_set(pivot)
+    assert all(pivot in p or set(p) <= nbrs for p in asked)
 
 
 def test_degree_split():
@@ -290,7 +362,8 @@ def test_fan_out_pools_only_work_worth_a_pool(monkeypatch):
         builds.append(args)
         build(self, *args, **kwargs)
 
-    monkeypatch.setattr(solvers, "ProcessPoolExecutor", RecordingPool)
+    # _fan_out imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(ConnectivitySweep, "__init__", counted_build)
     # 66 queries on m = 36 and 39 on m = 228: forking costs more than the flows
     small = gen_gnp(12, 0.5, 1)
