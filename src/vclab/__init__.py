@@ -74,6 +74,7 @@ from .solvers import (
     fast_ssvc,
     global_vc,
     ssvc,
+    steiner_at_least,
     steiner_vc,
 )
 

@@ -104,7 +104,7 @@ def _report(args: argparse.Namespace, **extra) -> dict:
 
 
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.kind in ("gnp", "planted4"):
         if args.n is None or args.p is None:
             parser.error(f"gen {args.kind} requires --n and --p")
@@ -127,7 +127,7 @@ def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         args,
         kind=args.kind,
         instance={"n": g.n, "m": g.m},
-        timings={"total": round(time.time() - t0, 6)},
+        timings={"total": round(time.perf_counter() - t0, 6)},
     )
     _deliver(payload, args.out, rep)
     return 0
@@ -194,11 +194,11 @@ def _solve_vc(args, parser, g, threads):
 def cmd_vc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.k is not None and args.algo != "sampled":
         raise VclabError("--k applies only to --algo sampled")
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = _load_graph(args.graph)
-    t_load = time.time()
+    t_load = time.perf_counter()
     payload, result = _solve_vc(args, parser, g, resolve_threads(args.threads))
-    t_solve = time.time()
+    t_solve = time.perf_counter()
     params = {"threads": args.threads}
     if args.algo == "sampled":
         params.update(k=args.k, c=args.c, fallback=args.fallback)
@@ -223,7 +223,7 @@ def cmd_vc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = _load_graph(args.graph)
     if args.kind == "apvc":
         hard = build_h(g)
@@ -250,7 +250,7 @@ def cmd_reduce(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         source={"n": g.n, "m": g.m},
         instance={"n": hard.graph.n, "m": hard.graph.m},
         result=summary,
-        timings={"total": round(time.time() - t0, 6)},
+        timings={"total": round(time.perf_counter() - t0, 6)},
     )
     _deliver(payload, args.out, rep)
     return 0

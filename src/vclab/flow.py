@@ -37,10 +37,12 @@ class FlowNetwork:
     partners and every forward arc has an even index. Arc i runs from
     to[i ^ 1] to to[i]. `cap0` holds the capacities as built and is never
     written after that; forward arc a carries flow cap[a ^ 1] and has
-    capacity cap[a] + cap[a ^ 1].
+    capacity cap[a] + cap[a ^ 1]. `split` is set only by ConnectivitySweep,
+    on the network it builds, and lets the flow core skip arcs that the split
+    layout proves dead (see the comment above `_sink_distances`).
     """
 
-    __slots__ = ("num_nodes", "source", "sink", "to", "cap", "cap0", "adj")
+    __slots__ = ("num_nodes", "source", "sink", "to", "cap", "cap0", "adj", "split")
 
     def __init__(self, num_nodes: int, source: int, sink: int):
         self.num_nodes = num_nodes
@@ -50,6 +52,7 @@ class FlowNetwork:
         self.cap: list[int] = []
         self.cap0: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
+        self.split = False
 
     def add_arc(self, u: int, v: int, capacity: int) -> int:
         i = len(self.to)
@@ -65,13 +68,16 @@ class FlowNetwork:
         self.cap[:] = self.cap0
 
     def validate(self, big: int) -> None:
-        """Assert the split-network invariants: each arc listed at its tail,
-        the capacity alphabet, and the layout (arc 2v is v's internal arc,
-        then two mirrored arcs per edge)."""
+        """Assert the split-network invariants: the split mark, each arc
+        listed at its tail, the capacity alphabet, and the layout (arc 2v is
+        v's internal arc and heads both its nodes' arc lists, then two
+        mirrored arcs per edge)."""
         to, cap0 = self.to, self.cap0
         arcs, inner = len(to), self.num_nodes
+        assert self.split, "split layout on a network without the split mark"
         assert arcs >= inner and (arcs - inner) % 4 == 0
         for x, out in enumerate(self.adj):
+            assert out[0] == x, f"node {x} does not list its internal arc first"
             assert all(to[a ^ 1] == x for a in out), f"node {x} lists an arc it is not the tail of"
         for i in range(0, arcs, 2):
             assert cap0[i + 1] == 0
@@ -131,6 +137,7 @@ class ConnectivitySweep:
         for u, v in g.edges():
             net.add_arc(2 * u + 1, 2 * v, 1)
             net.add_arc(2 * v + 1, 2 * u, 1)
+        net.split = True
 
     def query(self, u: int, v: int, cutoff: int | None = None) -> int:
         """kappa(u, v), or kappa'(u, v) in element mode; with a cutoff,
@@ -196,6 +203,19 @@ class ConnectivitySweep:
 # deterministic for a given network. A connectivity query hands Dinic a
 # cutoff no larger than min(deg u, deg v) less the warm-started units, so a
 # flow that reaches that bound skips the last, failing search.
+#
+# On a network that ConnectivitySweep built (`net.split`), most arcs at an
+# idle vertex are dead. There v_out has exactly one in-arc and v_in exactly
+# one out-arc: v's internal arc 2v, which both list first. Take a vertex v
+# whose internal arc has capacity 1 and carries no flow (cap[2v] == 1 and
+# cap[2v + 1] == 0). By flow conservation at v_in and v_out, no edge arc
+# through v carries flow either. So v_out's only residual predecessor is
+# v_in, and v_in's only residual successor is v_out: the BFS labels v_in from
+# v_out without scanning v_out's arcs, and the DFS treats a v_in whose
+# internal arc is not admissible as dead at once. Every arc they skip would
+# have failed its residual test, so labels, flows and cuts are those of the
+# full scan. Endpoints and terminals have internal capacity big, so the test
+# excludes them by itself; a hand-built network keeps the full scan.
 # ---------------------------------------------------------------------------
 
 
@@ -204,10 +224,17 @@ def _sink_distances(net: FlowNetwork) -> list[int]:
     dist = [-1] * net.num_nodes
     s, t = net.source, net.sink
     dist[t] = 0
-    cap, to, adj = net.cap, net.to, net.adj
+    cap, to, adj, split = net.cap, net.to, net.adj, net.split
     queue = [t]
     for w in queue:  # the list grows while it is walked: a FIFO queue
         nxt = dist[w] + 1
+        if split and w & 1 and cap[w] == 0 and cap[w - 1] == 1:
+            # an idle v_out = w: its only residual predecessor is its v_in,
+            # which has no other residual successor, so it is unlabelled; it
+            # is not the source either, whose internal arc is big
+            dist[w - 1] = nxt
+            queue.append(w - 1)
+            continue
         for a in adj[w]:
             # arc a runs w -> x, so its partner a ^ 1 is the residual arc x -> w
             if cap[a ^ 1] > 0:
@@ -223,7 +250,7 @@ def _sink_distances(net: FlowNetwork) -> list[int]:
 def _blocking_flow(net: FlowNetwork, dist: list[int], budget: int) -> int:
     """Push a blocking flow along arcs that step one label toward the sink,
     stopping at budget. Dead ends get label -1, which no arc matches."""
-    cap, to, adj = net.cap, net.to, net.adj
+    cap, to, adj, split = net.cap, net.to, net.adj, net.split
     it = [0] * net.num_nodes
     s, t = net.source, net.sink
     total = 0
@@ -248,7 +275,9 @@ def _blocking_flow(net: FlowNetwork, dist: list[int], budget: int) -> int:
             continue
         arcs = it[u]
         out = adj[u]
-        end = len(out)
+        # an idle v_in = u has one residual arc, its internal arc out[0]. It
+        # is admissible when u is first entered; once passed, u is dead
+        end = 1 if arcs and split and not u & 1 and cap[u] == 1 and cap[u + 1] == 0 else len(out)
         found = -1
         lu = dist[u] - 1
         while arcs < end:

@@ -38,7 +38,7 @@ from .graphs import (
     parse_labels,
     section_lines,
 )
-from .solvers import ConnectivityMatrix, steiner_vc
+from .solvers import ConnectivityMatrix, steiner_at_least
 
 ApvcHandle = Callable[[Graph], ConnectivityMatrix]
 SteinerHandle = Callable[[Graph, tuple[int, ...]], int]
@@ -460,13 +460,15 @@ def build_j(g: Graph, demand: EdgeSet) -> HardInstance:
 def solve_edge_universal_via_steiner(
     g: Graph, demand: EdgeSet, steiner: SteinerHandle | None = None
 ) -> bool:
-    """True iff every demand edge of g lies in a 4-clique, via J."""
+    """True iff every demand edge of g lies in a 4-clique, via J. Without a
+    handle, the terminal pairs of J are queried in order, each capped at
+    5n + 1, and the first pair below it answers no."""
     hard = build_j(g, demand)
     assert hard.terminals is not None and hard.uniform_threshold is not None
     thr = hard.uniform_threshold
     if steiner is not None:
         return steiner(hard.graph, hard.terminals) >= thr
-    return steiner_vc(hard.graph, hard.terminals, cutoff=thr) >= thr
+    return steiner_at_least(hard.graph, hard.terminals, thr)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Two layers:
 
 - exact solvers: apvc_naive and ssvc run one max flow per pair they report,
   steiner_vc one per terminal pair, and global_vc at most n - 1 + C(delta, 2)
-  from a minimum-degree pivot (its docstring has the proof). fast_apvc and
+  from a minimum-degree pivot (its docstring has the proof). The decision
+  steiner_at_least, which the Steiner pipeline uses at threshold 5n + 1,
+  stops at the first terminal pair below the threshold. fast_apvc and
   fast_ssvc are apvc_naive and ssvc under the names of the paper's fast
   algorithms. Those split V at a degree threshold k and cap every flow that
   touches a low vertex at k, which is exact because kappa is at most the
@@ -29,7 +31,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphParseError, InconsistencyError, QueryError
 from .flow import ConnectivitySweep
@@ -283,15 +285,28 @@ def global_vc(g: Graph) -> int:
     return _min_over_pairs(g, pairs, None)
 
 
-def steiner_vc(g: Graph, terminals: Iterable[int], cutoff: int | None = None) -> int:
-    """min kappa over terminal pairs; with a cutoff, min(true value, cutoff)."""
+def _terminal_pairs(g: Graph, terminals: Iterable[int]) -> Iterator[Edge]:
     term = sorted(set(terminals))
     if len(term) < 2:
         raise QueryError(f"need at least 2 terminals, got {len(term)}")
     for x in term:
         if not 0 <= x < g.n:
             raise QueryError(f"terminal {x} out of range for n={g.n}")
-    return _min_over_pairs(g, itertools.combinations(term, 2), cutoff)
+    return itertools.combinations(term, 2)
+
+
+def steiner_vc(g: Graph, terminals: Iterable[int], cutoff: int | None = None) -> int:
+    """min kappa over terminal pairs; with a cutoff, min(true value, cutoff)."""
+    return _min_over_pairs(g, _terminal_pairs(g, terminals), cutoff)
+
+
+def steiner_at_least(g: Graph, terminals: Iterable[int], thr: int) -> bool:
+    """steiner_vc(g, terminals) >= thr, deciding it from the first terminal
+    pair below thr: pairs are queried in order on one sweep, each capped at
+    thr, and the first that falls short ends the search."""
+    pairs = _terminal_pairs(g, terminals)
+    sweep = ConnectivitySweep(g)
+    return all(sweep.query(u, v, cutoff=thr) >= thr for u, v in pairs)
 
 
 # ---------------------------------------------------------------------------

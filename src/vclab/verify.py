@@ -87,7 +87,7 @@ def suite_flow(trials: int = 300, max_n: int = 7, seed: int = 0) -> SuiteResult:
     """Flow-based connectivity vs the subset-enumeration cut search."""
     _require_max_n(max_n, 2, MIXED_CUT_MAX_N)
     res = SuiteResult("flow")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     done = 0
     while done < trials:
@@ -107,7 +107,7 @@ def suite_flow(trials: int = 300, max_n: int = 7, seed: int = 0) -> SuiteResult:
         refe = brute_mixed_cut(g, u, v, terminals=terms)
         _record(res, ke == refe, trial_seed, f"element kappa'({u},{v}) {ke} != brute {refe} (U={sorted(terms)})", g)
         done += 1
-    res.seconds = time.time() - t0
+    res.seconds = time.perf_counter() - t0
     return res
 
 
@@ -115,7 +115,7 @@ def suite_gadget(trials: int = 200, max_n: int = 12, seed: int = 0) -> SuiteResu
     """Additive isolation identity of the gadget, non-adjacent pairs only."""
     _require_max_n(max_n, 2)
     res = SuiteResult("gadget")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     done = 0
     while done < trials:
@@ -137,7 +137,7 @@ def suite_gadget(trials: int = 200, max_n: int = 12, seed: int = 0) -> SuiteResu
         rhs += len(x_side) + len(y_side)
         _record(res, lhs == rhs, trial_seed, f"gadget identity {lhs} != {rhs} (X={x_side}, Y={y_side}, x={x}, y={y})", r)
         done += 1
-    res.seconds = time.time() - t0
+    res.seconds = time.perf_counter() - t0
     return res
 
 
@@ -150,7 +150,7 @@ def suite_filter(trials: int = 100, max_n: int = 6, seed: int = 0) -> SuiteResul
     """Additive offset identities of both filters, on random hosts."""
     _require_max_n(max_n, 2)
     res = SuiteResult("filter")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     for _ in range(trials):
         trial_seed = rng.randrange(10**9)
@@ -174,7 +174,7 @@ def suite_filter(trials: int = 100, max_n: int = 6, seed: int = 0) -> SuiteResul
         rhs = vertex_connectivity(filter_c_reduced_host(fp, host, a, d), a, d)[0]
         rhs += filter_c_offset(fp, a, d)
         _record(res, lhs == rhs, trial_seed, f"C filter identity {lhs} != {rhs} (a={a}, d={d})", g)
-    res.seconds = time.time() - t0
+    res.seconds = time.perf_counter() - t0
     return res
 
 
@@ -182,7 +182,7 @@ def suite_h_chain(trials: int = 50, max_n: int = 8, seed: int = 0) -> SuiteResul
     """kappa_H(a, d) minus the witness core equals the fixed offset, all pairs."""
     _require_max_n(max_n, 1)
     res = SuiteResult("h-chain")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     for _ in range(trials):
         trial_seed = rng.randrange(10**9)
@@ -201,7 +201,7 @@ def suite_h_chain(trials: int = 50, max_n: int = 8, seed: int = 0) -> SuiteResul
                 _record(res, kh == want, trial_seed, f"chain at (a={a}, d={d}): {kh} != {want}", g)
                 thr = apvc_threshold(g, a, dv)
                 _record(res, kh >= thr - 1, trial_seed, f"lower bound at (a={a}, d={d}): {kh} < {thr - 1}", g)
-    res.seconds = time.time() - t0
+    res.seconds = time.perf_counter() - t0
     return res
 
 
@@ -209,7 +209,7 @@ def suite_pipeline_apvc(trials: int = 200, max_n: int = 12, seed: int = 0) -> Su
     """solve_4clique_via_apvc against the brute-force clique search."""
     _require_max_n(max_n, 4)
     res = SuiteResult("pipeline-apvc")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     for i in range(trials):
         trial_seed = rng.randrange(10**9)
@@ -222,7 +222,7 @@ def suite_pipeline_apvc(trials: int = 200, max_n: int = 12, seed: int = 0) -> Su
         want = brute_4clique(g) is not None
         got = solve_4clique_via_apvc(g)
         _record(res, got == want, trial_seed, f"apvc pipeline says {got}, brute says {want}", g)
-    res.seconds = time.time() - t0
+    res.seconds = time.perf_counter() - t0
     return res
 
 
@@ -231,7 +231,7 @@ def suite_pipeline_steiner(trials: int = 200, max_n: int = 8, seed: int = 0) -> 
     same-side and cross-pair floor bounds on every built J."""
     _require_max_n(max_n, 2)
     res = SuiteResult("pipeline-steiner")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     for i in range(trials):
         trial_seed = rng.randrange(10**9)
@@ -263,7 +263,7 @@ def suite_pipeline_steiner(trials: int = 200, max_n: int = 8, seed: int = 0) -> 
         want, _ = brute_edge_universal(g, demand)
         got = solve_edge_universal_via_steiner(g, demand)
         _record(res, got == want, trial_seed, f"steiner pipeline says {got}, brute says {want} (demand {list(demand)})", g)
-    res.seconds = time.time() - t0
+    res.seconds = time.perf_counter() - t0
     return res
 
 
@@ -281,7 +281,7 @@ def suite_sampler(
     """
     _require_max_n(max_n, 5)
     res = SuiteResult("sampler")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     pair_trials = 0
     misses = 0
@@ -306,7 +306,7 @@ def suite_sampler(
                     if fallback:
                         bad = f"fallback inexact at ({u},{v}): {have} != {want} (k={k})"
         _record(res, bad is None, trial_seed, bad or "", g)
-    res.seconds = time.time() - t0
+    res.seconds = time.perf_counter() - t0
     rate = misses / pair_trials if pair_trials else 0.0
     res.notes.append(
         f"fallback={fallback} c={c}: {misses}/{pair_trials} overshoot pairs ({100 * rate:.2f}%)"

@@ -1,7 +1,9 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from vclab.errors import VclabError
 from vclab.graphs import emit_graph, gen_gnp, parse_graph, parse_labeled
 from vclab.oracles import brute_4clique
 from vclab.reductions import parse_hard_instance
+from vclab.verify import SUITES
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -284,6 +287,28 @@ def test_verify_sampler_flags(capsys):
     assert main(["verify", "sampler", "--seeds", "5", "--n", "12", "--seed", "2",
                  "--no-fallback", "--c", "4.0"]) == 0
     assert "suite sampler: pass" in capsys.readouterr().out
+
+
+def test_timings_survive_a_wall_clock_that_steps_back(tmp_path, capsys, monkeypatch):
+    # durations come from a monotonic clock, so a wall clock that runs
+    # backwards leaves every reported timing non-negative
+    ticks = itertools.count(0, -1000)
+    monkeypatch.setattr(time, "time", lambda: float(next(ticks)))
+    path = p3_file(tmp_path)
+    demand = tmp_path / "demand.txt"
+    demand.write_text("0 1\n")
+    out = str(tmp_path / "out.txt")
+    for argv in (
+        ["gen", "gnp", "--n", "6", "--p", "0.5", "--seed", "1"],
+        ["vc", "st", "--graph", path, "--s", "0", "--t", "2"],
+        ["reduce", "apvc", "--graph", path],
+        ["reduce", "steiner", "--graph", path, "--demand", str(demand)],
+    ):
+        assert main(argv + ["--out", out]) == 0
+        timings = json.loads(capsys.readouterr().out)["timings"]
+        assert timings and min(timings.values()) >= 0, (argv, timings)
+    for name, suite in SUITES.items():
+        assert suite(trials=1).seconds >= 0, name
 
 
 def test_bench_subcommand_is_gone(capsys):

@@ -21,6 +21,7 @@ from vclab.flow import (
 )
 from vclab.graphs import Graph, gen_gnp
 from vclab.oracles import MIXED_CUT_MAX_M, brute_mixed_cut
+from vclab.reductions import build_h
 
 
 @st.composite
@@ -289,6 +290,91 @@ def test_dead_end_next_to_the_sink_is_pruned():
     assert dist[3] == -1  # c was marked dead during the phase
     assert _sink_distances(net)[0] == -1  # the flow is maximum
     assert max_flow(build()) == reference_max_flow(build()) == (2, [0, 2])
+
+
+def full_scan_sink_distances(net):
+    """The sink BFS without the split-layout shortcut: every arc of every
+    dequeued node is scanned."""
+    dist = [-1] * net.num_nodes
+    dist[net.sink] = 0
+    queue = deque([net.sink])
+    while queue:
+        w = queue.popleft()
+        for a in net.adj[w]:
+            x = net.to[a]
+            if net.cap[a ^ 1] > 0 and dist[x] < 0:
+                dist[x] = dist[w] + 1
+                if x == net.source:
+                    return dist
+                queue.append(x)
+    return dist
+
+
+@pytest.mark.parametrize("element", [False, True])
+def test_split_scan_matches_full_scan(monkeypatch, element):
+    phases = []
+    search = flow._sink_distances
+
+    def checked(net):
+        dist = search(net)
+        if net.split:
+            ref = full_scan_sink_distances(net)
+            layer = ref[net.source]
+            assert dist[net.source] == layer
+            if layer < 0:  # the source was not reached: every label is final
+                assert dist == ref
+            else:  # the search stops at the source, so only the layers below it are complete
+                below = lambda d: {x: dx for x, dx in enumerate(d) if 0 <= dx < layer}
+                assert below(dist) == below(ref)
+            phases.append(net)
+        return dist
+
+    monkeypatch.setattr(flow, "_sink_distances", checked)
+    rng = random.Random(808 + element)
+    graphs = [gen_gnp(rng.randint(2, 30), rng.choice((0.1, 0.2, 0.4, 0.7)), rng.randrange(10**6)) for _ in range(80)]
+    # H's layers give long phases in which the DFS revisits many nodes
+    graphs += [build_h(gen_gnp(8, 0.5, rng.randrange(10**6))).graph for _ in range(6)]
+    for g in graphs:
+        for _ in range(1 + g.n // 8):
+            u, v = rng.sample(range(g.n), 2)
+            terminals = {u, v} | set(rng.sample(range(g.n), rng.randint(0, g.n))) if element else None
+            for cutoff in (None, rng.randint(0, g.n)):
+                split = ConnectivitySweep(g, terminals)
+                full = ConnectivitySweep(g, terminals)
+                full.net.split = False
+                value = split.query(u, v, cutoff)
+                assert value == full.query(u, v, cutoff)
+                # the same flow, arc by arc, so the same cuts and path families
+                assert split.net.cap == full.net.cap
+                if cutoff is None:
+                    assert _min_cut(split.net, value) == _min_cut(full.net, value)
+    assert len(phases) > 100
+
+
+def test_hand_built_network_keeps_the_full_scan():
+    # nodes are numbered 2v / 2v + 1 and arc 2v runs 2v -> 2v + 1, but the
+    # arc 0 -> 3 enters an odd node directly, which the split layout forbids.
+    # Node 3's only residual predecessor is then not node 2.
+    def build():
+        net = FlowNetwork(6, source=0, sink=5)
+        for x, y in [(0, 1), (2, 3), (4, 5), (0, 3), (3, 4)]:
+            net.add_arc(x, y, 1)
+        return net
+
+    assert max_flow(build()) == reference_max_flow(build()) == (1, [6])
+    assert not build().split
+    with pytest.raises(AssertionError):
+        build().validate(big=2)
+    # with the mark forced on, the layout shortcut strands the source: only
+    # a sweep, whose network has the layout, may set it
+    wrong = build()
+    wrong.split = True
+    assert max_flow(wrong)[0] == 0
+    # a sweep's network is valid only with its mark
+    net = aimed(p3(), 0, 2)
+    net.split = False
+    with pytest.raises(AssertionError, match="split mark"):
+        net.validate(big=3)
 
 
 def test_max_flow_cutoff_stops_early():

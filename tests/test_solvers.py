@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from vclab.errors import InconsistencyError, QueryError
 from vclab.flow import ConnectivitySweep, vertex_connectivity
-from vclab.graphs import Graph, gen_gnp
-from vclab.oracles import MIXED_CUT_MAX_M, all_pairs_brute, brute_mixed_cut
+from vclab.graphs import EdgeSet, Graph, gen_gnp
+from vclab.oracles import MIXED_CUT_MAX_M, all_pairs_brute, brute_edge_universal, brute_mixed_cut
+from vclab.reductions import build_j, solve_edge_universal_via_steiner, steiner_threshold
 from vclab.solvers import (
     DIAG,
     ConnectivityMatrix,
@@ -24,6 +25,7 @@ from vclab.solvers import (
     global_vc,
     sample_set_count,
     ssvc,
+    steiner_at_least,
     steiner_vc,
     _verified_entry,
 )
@@ -117,6 +119,48 @@ def test_steiner_cutoff():
     assert steiner_vc(g, (0, 1, 2), cutoff=0) == 0
     with pytest.raises(QueryError):
         steiner_vc(gen_gnp(30, 0.5, 1), [0, 1, 2], cutoff=-3)
+
+
+def test_steiner_at_least_matches_steiner_vc():
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        g = gen_gnp(n, rng.uniform(0.1, 0.9), rng.randrange(10**6))
+        terminals = rng.sample(range(n), rng.randint(2, n))
+        kappa = steiner_vc(g, terminals)
+        for thr in (0, 1, kappa, kappa + 1):
+            assert steiner_at_least(g, terminals, thr) == (kappa >= thr), (g.edges(), terminals, thr)
+    with pytest.raises(QueryError):
+        steiner_at_least(k4(), (3,), 1)
+    with pytest.raises(QueryError):
+        steiner_at_least(k4(), (0, 4), 0)
+
+
+def test_steiner_pipeline_stops_at_the_first_pair_below_threshold(monkeypatch):
+    # no 4-clique at all, so every demand pair of J sits at 5n, below 5n + 1
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    demand = EdgeSet.of([(1, 2), (0, 1)])
+    assert not brute_edge_universal(g, demand)[0]
+    asked = []
+    query = ConnectivitySweep.query
+
+    def recorded_query(self, u, v, cutoff=None):
+        value = query(self, u, v, cutoff=cutoff)
+        asked.append((u, v, cutoff, value))
+        return value
+
+    monkeypatch.setattr(ConnectivitySweep, "query", recorded_query)
+    assert solve_edge_universal_via_steiner(g, demand) is False
+    thr = steiner_threshold(g.n)
+    pairs = list(itertools.combinations(sorted(build_j(g, demand).terminals), 2))
+    # terminal pairs in order, each capped at thr, up to and including the
+    # first that falls short; the A-A pairs before it all pass
+    assert [(u, v) for u, v, _, _ in asked] == pairs[: len(asked)]
+    assert all(cutoff == thr for _, _, cutoff, _ in asked)
+    assert all(value >= thr for _, _, _, value in asked[:-1])
+    assert asked[-1][3] < thr
+    assert asked[-1][:2] == (0, 3 * g.n + 1)  # the demand pair (0, 1), A side to D side
+    assert len(asked) < len(pairs)
 
 
 def complete(n):
