@@ -22,6 +22,7 @@ from .flow import (
     FlowNetwork,
     cut_disconnects,
     max_flow,
+    paths_disjoint,
     vertex_connectivity,
     vertex_disjoint_paths,
 )

@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from .errors import InconsistencyError, VclabError
-from .flow import vertex_connectivity
+from .flow import cut_disconnects, paths_disjoint, vertex_connectivity, vertex_disjoint_paths
 from .graphs import (
     emit_graph,
     emit_labeled,
@@ -146,11 +146,19 @@ def _solve_vc(args, parser, g, threads):
     if problem == "st":
         if args.s is None or args.t is None:
             parser.error("st needs --s and --t")
-        value, cert = vertex_connectivity(g, args.s, args.t)
+        s, t = args.s, args.t
+        value, cert = vertex_connectivity(g, s, t)
+        paths = vertex_disjoint_paths(g, s, t)
+        # the cut bounds kappa from above and the paths from below, each checked in O(m)
+        if not cut_disconnects(g, s, t, cert):
+            raise InconsistencyError(f"the reported cut does not separate {s} from {t}")
+        if not paths_disjoint(g, s, t, paths, value):
+            raise InconsistencyError(f"the reported paths are not {value} internally disjoint {s}-{t} paths")
         result = {
             "value": value,
             "cut_vertices": sorted(cert.cut_vertices),
             "cut_edges": [list(e) for e in cert.cut_edges],
+            "paths": paths,
         }
         return f"{value}\n", result
     if problem == "global":

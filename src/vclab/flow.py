@@ -15,7 +15,8 @@ queries. The arc layout is fixed, so an arc index alone names the graph
 element it stands for. A query stops at min(deg u, deg v), which bounds
 every u-v flow, so a flow that reaches it is maximum with no final search.
 Before Dinic runs, the query routes the paths that need no search: the edge
-uv and u-w-v for each common neighbour w.
+uv, u-w-v for each common neighbour w, and then, greedily, u-w-x-v paths
+through a neighbour w of u only and a neighbour x of v only.
 
 "Unbounded" is encoded as n: no flow through a single vertex can exceed its
 degree, which is below n, so capacity n never binds.
@@ -162,29 +163,56 @@ class ConnectivitySweep:
         return warm + _dinic(net, limit - warm)
 
     def _route_short_paths(self, u: int, v: int, limit: int) -> int:
-        """Push one unit along the edge uv, if present, and one along u-w-v
-        for each common neighbour w, in u_out's arc order, up to `limit`.
+        """Push one unit along each path of at most three edges that needs no
+        search, up to `limit`: the edge uv, if present, and u-w-v for each
+        common neighbour w, in u_out's arc order; then u-w-x-v for each w in
+        N(u) minus N[v], in u_out's arc order, with x the first vertex of
+        N(v) minus N[u] in w_out's arc order that no earlier path used.
 
-        The paths share no inner vertex and use each capacity-1 arc once; the
-        endpoint internal arcs have capacity big > degree. So this is a
+        The common neighbours, the w's and the x's are pairwise disjoint
+        (w is not in N(v), x is not in N(u)), and each is used at most once.
+        So the paths share no inner vertex and use each capacity-1 arc once;
+        the endpoint internal arcs have capacity big > degree. Each path is
+        pushed whole, so flow is conserved at every vertex. This is a
         feasible flow, and Dinic completes it to a maximum flow.
         """
-        common = self.g.neighbor_set(u) & self.g.neighbor_set(v)
-        net = self.net
+        g, net = self.g, self.net
         cap, to, adj = net.cap, net.to, net.adj
-        # odd arc a at v_in is the reverse of w_out -> v_in, and to[a] is w_out
-        into_v = {to[a] // 2: a ^ 1 for a in adj[2 * v] if a & 1 and to[a] // 2 in common}
+        nu, nv = g.neighbor_set(u), g.neighbor_set(v)
+        # after v_in's internal arc, arc a is the reverse of x_out -> v_in, and to[a] is x_out
+        into_v = {to[a] >> 1: a ^ 1 for a in adj[2 * v][1:]}
+        far = []  # the arcs u_out -> w_in with w in N(u) minus N[v]
         pushed = 0
-        for a in adj[2 * u + 1]:
+        # a node's first arc is its internal arc; the rest of u_out's are u_out -> w_in
+        for a in adj[2 * u + 1][1:]:
             if pushed >= limit:
                 break
-            w = to[a] // 2  # the head w_in of the even arc u_out -> w_in
-            if a & 1 or (w != v and w not in common):
+            w = to[a] >> 1
+            if w == v:
+                path: tuple[int, ...] = (a,)
+            elif w in nv:
+                path = (a, 2 * w, into_v[w])
+            else:
+                far.append(a)
                 continue
-            for b in (a,) if w == v else (a, 2 * w, into_v[w]):
+            for b in path:
                 cap[b] -= 1
                 cap[b ^ 1] += 1
             pushed += 1
+        free = set(nv).difference(nu, (u,))  # the x's not yet used
+        for a in far:
+            if pushed >= limit or not free:
+                break
+            w = to[a] >> 1
+            for b in adj[2 * w + 1]:  # arc 0 leads to w_in, and w is not in free
+                x = to[b] >> 1
+                if x in free:
+                    free.remove(x)
+                    for c in (a, 2 * w, b, 2 * x, into_v[x]):
+                        cap[c] -= 1
+                        cap[c ^ 1] += 1
+                    pushed += 1
+                    break
         for b in (2 * u, 2 * v):
             cap[b] -= pushed
             cap[b ^ 1] += pushed
@@ -198,11 +226,15 @@ class ConnectivitySweep:
 # arcs that step one label closer to the sink, so every node it enters could
 # reach the sink when the phase began; a node whose arcs run out is marked
 # dead and no path enters it again in that phase. Arc order is fixed at build
-# time; the warm start routes its short paths in u_out's arc order and both
+# time; the warm start routes its paths of one, two and three edges in
+# u_out's arc order (the third edge of a u-w-x-v path in w_out's), and both
 # searches scan arcs in that order, so values, flows, and cuts are
 # deterministic for a given network. A connectivity query hands Dinic a
 # cutoff no larger than min(deg u, deg v) less the warm-started units, so a
-# flow that reaches that bound skips the last, failing search.
+# flow that reaches that bound skips the last, failing search. The warm
+# start scans the arcs of u_out, v_in and each w_out, at most 2m + n in all,
+# about one phase's work, and on dense graphs it often reaches the bound
+# alone, so the query runs no phase at all.
 #
 # On a network that ConnectivitySweep built (`net.split`), most arcs at an
 # idle vertex are dead. There v_out has exactly one in-arc and v_in exactly
@@ -405,6 +437,26 @@ def cut_disconnects(g: Graph, u: int, v: int, cert: CutCertificate) -> bool:
             seen.add(y)
             queue.append(y)
     return v not in seen
+
+
+def paths_disjoint(g: Graph, u: int, v: int, paths: list[list[int]], value: int) -> bool:
+    """Check: are `paths` exactly `value` internally vertex-disjoint u-v paths
+    along edges of g? Two such paths can share an edge only if it is uv, so
+    at most one path may be that edge."""
+    if len(paths) != value:
+        return False
+    inner: set[int] = set()
+    direct = 0
+    for path in paths:
+        if len(path) < 2 or path[0] != u or path[-1] != v:
+            return False
+        if not all(g.has_edge(a, b) for a, b in zip(path, path[1:])):
+            return False
+        middle = path[1:-1]
+        inner.update(middle)
+        direct += not middle
+    # a repeated or shared inner vertex leaves fewer vertices than inner positions
+    return direct <= 1 and len(inner) == sum(len(p) - 2 for p in paths) and u not in inner and v not in inner
 
 
 def vertex_disjoint_paths(g: Graph, u: int, v: int) -> list[list[int]]:

@@ -170,8 +170,10 @@ def _all_pairs(n: int) -> list[Edge]:
 Job = tuple[tuple[int, ...] | None, list[Edge], int | None]
 
 # A flow phase scans O(m) arcs, so queries x m measures a batch's work. On
-# two CPUs the pool breaks even between 60k and 100k of it; below this,
-# starting worker processes costs more than it saves.
+# two CPUs the pool broke even between 60k and 100k of it; below this,
+# starting worker processes costs more than it saves. That was measured
+# before the warm start routed u-w-x-v paths, which made dense queries
+# about three times cheaper, so the break-even point is due a re-measurement.
 _MIN_POOLED_WORK = 80_000
 
 

@@ -11,7 +11,8 @@ import pytest
 import vclab
 from vclab.cli import THREADS_ENV, main, resolve_threads
 from vclab.errors import VclabError
-from vclab.graphs import emit_graph, gen_gnp, parse_graph, parse_labeled
+from vclab.flow import CutCertificate
+from vclab.graphs import EdgeSet, emit_graph, gen_gnp, parse_graph, parse_labeled
 from vclab.oracles import brute_4clique
 from vclab.reductions import parse_hard_instance
 from vclab.verify import SUITES
@@ -96,6 +97,41 @@ def test_vc_st(tmp_path, capsys):
     report = json.loads(captured.err)
     assert report["result"]["value"] == 1
     assert report["result"]["cut_vertices"] == [1]
+    assert report["result"]["paths"] == [[0, 1, 2]]
+
+
+def c4_file(tmp_path):
+    return write_graph(tmp_path, parse_graph("4 4\n0 1\n1 2\n2 3\n0 3"))
+
+
+def test_vc_st_reports_both_bounds(tmp_path, capsys):
+    assert main(["vc", "st", "--graph", c4_file(tmp_path), "--s", "0", "--t", "2"]) == 0
+    result = json.loads(capsys.readouterr().err)["result"]
+    assert result["value"] == 2 and result["cut_vertices"] == [1, 3]
+    assert sorted(result["paths"]) == [[0, 1, 2], [0, 3, 2]]
+
+
+@pytest.mark.parametrize("paths", [
+    [[0, 1, 2], [0, 1, 2]],  # a shared inner vertex
+    [[0, 1, 2]],  # fewer paths than the value
+    [[0, 1, 2], [0, 2]],  # 0-2 is not an edge
+    [[0, 1, 2], [0, 3, 0, 3, 2]],  # a repeated inner vertex and an endpoint inside
+    [[0, 1, 2], [1, 0, 3, 2]],  # the wrong first vertex
+])
+def test_vc_st_forged_paths_exit_1(tmp_path, capsys, monkeypatch, paths):
+    monkeypatch.setattr("vclab.cli.vertex_disjoint_paths", lambda g, s, t: paths)
+    assert main(["vc", "st", "--graph", c4_file(tmp_path), "--s", "0", "--t", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_vc_st_forged_cut_exit_1(tmp_path, capsys, monkeypatch):
+    # vertex 1 and edge 01 leave the path 0-3-2 standing
+    forged = CutCertificate(frozenset({1}), EdgeSet.of([(0, 1)]), 2)
+    monkeypatch.setattr("vclab.cli.vertex_connectivity", lambda g, s, t: (2, forged))
+    assert main(["vc", "st", "--graph", c4_file(tmp_path), "--s", "0", "--t", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_vc_global(tmp_path, capsys):

@@ -16,6 +16,7 @@ from vclab.flow import (
     _sink_distances,
     cut_disconnects,
     max_flow,
+    paths_disjoint,
     vertex_connectivity,
     vertex_disjoint_paths,
 )
@@ -221,17 +222,46 @@ def k25():
     return Graph.from_edges(7, [(h, x) for h in (0, 1) for x in range(2, 7)])
 
 
+def cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def k33_matched():
+    """u = 0 and v = 1 share no neighbour; their private neighbours 2, 3, 4
+    and 5, 6, 7 are joined by K_{3,3}, so three u-w-x-v paths compete for
+    the same x's."""
+    return Graph.from_edges(8, [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]
+                            + [(w, x) for w in (2, 3, 4) for x in (5, 6, 7)])
+
+
+def short_path_count(g, u, v):
+    """How many paths the warm start routes when no limit stops it."""
+    sweep = ConnectivitySweep(g)
+    sweep.query(u, v, cutoff=0)  # aims the network and routes nothing
+    return sweep._route_short_paths(u, v, g.n)
+
+
 def warm_start_cases():
     """(graph, u, v, extra terminals): adjacent endpoints, degree-0 endpoints,
-    terminals among the common neighbours, and random graphs."""
+    terminals among the common neighbours, pairs joined only by u-w-x-v
+    paths (some through terminals), and random graphs."""
     yield k6(), 0, 1, ()
     yield k6(), 2, 5, (1, 3)  # two of the four common neighbours are terminals
     yield k25(), 0, 1, (4,)
     yield k25(), 2, 3, (0,)
+    yield k25(), 0, 2, ()  # the edge, then 0-w-1-2 for one leaf w
+    yield k25(), 0, 2, (1, 3, 4)  # the only x and two of the w's are terminals
     yield p3(), 0, 2, (1,)
     path_and_isolated = Graph.from_edges(4, [(0, 1), (1, 2)])
     yield path_and_isolated, 0, 3, (1,)
     yield path_and_isolated, 3, 1, ()
+    yield cycle(6), 0, 3, ()  # two u-w-x-v paths and nothing shorter
+    yield cycle(6), 0, 3, (1, 2, 4, 5)  # every private neighbour is a terminal
+    yield cycle(8), 0, 4, (2,)  # no path of three edges or fewer
+    yield k33_matched(), 0, 1, ()
+    yield k33_matched(), 0, 1, (2, 5, 6)
+    # w = 2 takes x = 4, the only x of w = 3, so Dinic must reroute it
+    yield Graph.from_edges(6, [(0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4)]), 0, 1, ()
     rng = random.Random(4711)
     for _ in range(40):
         n = rng.randint(2, 14)
@@ -244,8 +274,9 @@ def warm_start_cases():
 def test_warm_started_query_matches_reference(element):
     for g, u, v, extra in warm_start_cases():
         terminals = {u, v, *extra} if element else None
-        paths = g.has_edge(u, v) + len(g.neighbor_set(u) & g.neighbor_set(v))
-        for cutoff in (None, 0, 1, max(paths - 1, 0), paths + 1):
+        paths = short_path_count(g, u, v)
+        # cutoffs at and below the number of warm paths stop the warm start itself
+        for cutoff in (None, 0, 1, max(paths - 1, 0), paths, paths + 1):
             sweep = ConnectivitySweep(g, terminals)
             value = sweep.query(u, v, cutoff)
             ref_value, ref_cut = reference_max_flow(aimed(g, u, v, terminals), cutoff)
@@ -268,8 +299,11 @@ def test_query_at_the_degree_bound_runs_no_search(monkeypatch):
     assert searches == []
     assert ConnectivitySweep(p3()).query(0, 1) == 1
     assert searches == []
-    # hub 0 and leaf 2 share no neighbour, so the second path 0-3-1-2 needs a search
+    # hub 0 and leaf 2 share no neighbour: the edge, then the path 0-3-1-2
     assert ConnectivitySweep(k25()).query(0, 2) == 2
+    assert searches == []
+    # the only paths of C8 from 0 to 4 have four edges, so they need a search
+    assert ConnectivitySweep(cycle(8)).query(0, 4) == 2
     assert searches
 
 
@@ -438,6 +472,8 @@ def test_path_packing(gp):
         assert len(inner) == len(path) - 2
         assert not (inner & interior)
         interior |= inner
+    assert paths_disjoint(g, u, v, paths, value)
+    assert not paths_disjoint(g, u, v, paths, value + 1)
 
 
 def test_capped_queries():

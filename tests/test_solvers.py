@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vclab import flow
 from vclab.errors import InconsistencyError, QueryError
 from vclab.flow import ConnectivitySweep, vertex_connectivity
 from vclab.graphs import EdgeSet, Graph, gen_gnp
@@ -381,6 +382,27 @@ def dense_exact_graph():
     return Graph.from_edges(30, edges)
 
 
+def test_most_dense_queries_run_no_search(monkeypatch):
+    searches = []
+    search = flow._sink_distances
+    searched = []  # per query: did it run a sink BFS?
+    query = ConnectivitySweep.query
+
+    def counted_query(self, u, v, cutoff=None):
+        before = len(searches)
+        value = query(self, u, v, cutoff=cutoff)
+        searched.append(len(searches) > before)
+        return value
+
+    monkeypatch.setattr(flow, "_sink_distances", lambda net: searches.append(net) or search(net))
+    monkeypatch.setattr(ConnectivitySweep, "query", counted_query)
+    # the edge and the paths of two and three edges reach min(deg u, deg v)
+    # before Dinic starts in most pairs of a density-1/2 graph
+    apvc_naive(dense_exact_graph())
+    assert len(searched) == 435
+    assert searched.count(False) > len(searched) / 2
+
+
 def test_fan_out_pools_only_work_worth_a_pool(monkeypatch):
     pools = []
 
@@ -417,7 +439,10 @@ def test_fan_out_pools_only_work_worth_a_pool(monkeypatch):
     mid = gen_gnp(40, 0.3, 1)
     assert ssvc(mid, 0, threads=2) == ssvc(mid, 0)
     assert pools == []
-    # dense-exact's batch: 435 queries on m = 218, where the two are tied
+    # dense-exact's batch: 435 queries on m = 218 is above the threshold, so
+    # it is pooled. Timed on a 2-CPU VM shared with other load (15 runs
+    # each), it took a median 20 ms in process and 37 ms in the pool; the
+    # threshold awaits a re-measurement on two idle CPUs
     dense = dense_exact_graph()
     assert apvc_naive(dense, threads=2) == apvc_naive(dense)
     assert pools == [2]
