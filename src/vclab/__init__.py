@@ -74,9 +74,11 @@ from .solvers import (
     fast_apvc,
     fast_ssvc,
     global_vc,
+    global_vc_pair,
     ssvc,
     steiner_at_least,
     steiner_vc,
+    steiner_vc_pair,
 )
 
 __version__ = "0.1.0"

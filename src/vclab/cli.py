@@ -37,9 +37,9 @@ from .solvers import (
     apvc_naive,
     capped_apvc_sampled,
     capped_ssvc_sampled,
-    global_vc,
+    global_vc_pair,
     ssvc,
-    steiner_vc,
+    steiner_vc_pair,
 )
 from .verify import SUITES
 
@@ -138,6 +138,26 @@ def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _certified_pair(g, s: int, t: int, value: int | None = None) -> dict:
+    """kappa(s, t) with its cut and its paths, checked in O(m) before they are
+    reported: the cut bounds kappa from above and the paths from below. With
+    `value`, the pair must attain it."""
+    found, cert = vertex_connectivity(g, s, t)
+    paths = vertex_disjoint_paths(g, s, t)
+    if value is None:
+        value = found
+    if cert.value != value or not cut_disconnects(g, s, t, cert):
+        raise InconsistencyError(f"the reported cut is not a cut of {value} elements between {s} and {t}")
+    if not paths_disjoint(g, s, t, paths, value):
+        raise InconsistencyError(f"the reported paths are not {value} internally disjoint {s}-{t} paths")
+    return {
+        "value": value,
+        "cut_vertices": sorted(cert.cut_vertices),
+        "cut_edges": [list(e) for e in cert.cut_edges],
+        "paths": paths,
+    }
+
+
 def _solve_vc(args, parser, g, threads):
     """Dispatch on (problem, algo); returns (payload, result-for-report)."""
     problem, algo = args.problem, args.algo
@@ -146,24 +166,12 @@ def _solve_vc(args, parser, g, threads):
     if problem == "st":
         if args.s is None or args.t is None:
             parser.error("st needs --s and --t")
-        s, t = args.s, args.t
-        value, cert = vertex_connectivity(g, s, t)
-        paths = vertex_disjoint_paths(g, s, t)
-        # the cut bounds kappa from above and the paths from below, each checked in O(m)
-        if not cut_disconnects(g, s, t, cert):
-            raise InconsistencyError(f"the reported cut does not separate {s} from {t}")
-        if not paths_disjoint(g, s, t, paths, value):
-            raise InconsistencyError(f"the reported paths are not {value} internally disjoint {s}-{t} paths")
-        result = {
-            "value": value,
-            "cut_vertices": sorted(cert.cut_vertices),
-            "cut_edges": [list(e) for e in cert.cut_edges],
-            "paths": paths,
-        }
-        return f"{value}\n", result
+        result = _certified_pair(g, args.s, args.t)
+        return f"{result['value']}\n", result
     if problem == "global":
-        value = global_vc(g)
-        return f"{value}\n", {"value": value}
+        # the minimum is certified by a pair that attains it
+        value, pair = global_vc_pair(g)
+        return f"{value}\n", {"pair": list(pair), **_certified_pair(g, *pair, value)}
     if problem == "steiner":
         if not args.terminals:
             parser.error("steiner needs --terminals")
@@ -171,8 +179,9 @@ def _solve_vc(args, parser, g, threads):
             terms = [int(x) for x in args.terminals.split()]
         except ValueError:
             raise VclabError(f"--terminals must be integers, got {args.terminals!r}") from None
-        value = steiner_vc(g, terms)
-        return f"{value}\n", {"value": value, "terminals": terms}
+        value, pair = steiner_vc_pair(g, terms)
+        result = {"terminals": terms, "pair": list(pair), **_certified_pair(g, *pair, value)}
+        return f"{value}\n", result
     if problem == "ssvc":
         if args.s is None:
             parser.error("ssvc needs --s")

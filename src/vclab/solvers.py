@@ -6,7 +6,9 @@ Two layers:
   steiner_vc one per terminal pair, and global_vc at most n - 1 + C(delta, 2)
   from a minimum-degree pivot (its docstring has the proof). The decision
   steiner_at_least, which the Steiner pipeline uses at threshold 5n + 1,
-  stops at the first terminal pair below the threshold. fast_apvc and
+  stops at the first terminal pair below the threshold. global_vc_pair and
+  steiner_vc_pair also name a pair that attains the minimum, so that its
+  cut and its paths can certify the value. fast_apvc and
   fast_ssvc are apvc_naive and ssvc under the names of the paper's fast
   algorithms. Those split V at a degree threshold k and cap every flow that
   touches a low vertex at k, which is exact because kappa is at most the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -169,12 +172,16 @@ def _all_pairs(n: int) -> list[Edge]:
 # element mode when terminals are given, queried once per pair.
 Job = tuple[tuple[int, ...] | None, list[Edge], int | None]
 
-# A flow phase scans O(m) arcs, so queries x m measures a batch's work. On
-# two CPUs the pool broke even between 60k and 100k of it; below this,
-# starting worker processes costs more than it saves. That was measured
-# before the warm start routed u-w-x-v paths, which made dense queries
-# about three times cheaper, so the break-even point is due a re-measurement.
-_MIN_POOLED_WORK = 80_000
+# A flow phase scans O(m) arcs, so queries x m measures a batch's work;
+# below this, starting worker processes costs more than it saves.
+# experiments/pool_breakeven.py measured it on a 2-CPU VM in October 2026:
+# a pool of 2 against one process on 33 batches of apvc_naive and ssvc on
+# dense and sparse G(n, p), 54k to 1.5M units, 60 alternating pairs each.
+# The geometric-mean loss to the faster choice was least with the threshold
+# between 122k and 127k. Warm-started dense queries cost less per unit than
+# sparse ones, so on G(n, 1/2) the pool pays only from about 200k to 300k
+# (apvc) or 400k to 800k (ssvc), and on sparse graphs from about 100k.
+_MIN_POOLED_WORK = 125_000
 
 
 def _run_jobs(g: Graph, jobs: Sequence[Job]) -> list[list[int]]:
@@ -194,20 +201,25 @@ def _run_jobs(g: Graph, jobs: Sequence[Job]) -> list[list[int]]:
 def _fan_out(g: Graph, jobs: Sequence[Job], threads: int) -> list[list[int]]:
     """Each job's query values, in job order.
 
-    Jobs are dealt round-robin over `threads` worker processes. Each worker
-    receives the graph itself (a Graph is immutable and pickles) with its
-    chunk of jobs, and runs them in turn with `_run_jobs`. A batch with less
-    work than `_MIN_POOLED_WORK` runs in the calling process instead.
+    Jobs are dealt round-robin over at most `threads` worker processes, and
+    never more than there are CPUs or jobs. Each worker receives the graph
+    itself (a Graph is immutable and pickles) with its chunk of jobs, and
+    runs them in turn with `_run_jobs`. A batch with less work than
+    `_MIN_POOLED_WORK` runs in the calling process instead.
     """
     if threads <= 1 or sum(len(job[1]) for job in jobs) * g.m < _MIN_POOLED_WORK:
         return _run_jobs(g, jobs)
+    # the fork start method starts every worker at once
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers == 1:
+        return _run_jobs(g, jobs)
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-    chunks = [jobs[i::threads] for i in range(min(threads, len(jobs)))]
+    chunks = [jobs[i::workers] for i in range(workers)]
     out: list[list[int]] = [[] for _ in jobs]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for i, part in enumerate(pool.map(_run_jobs, [g] * len(chunks), chunks)):
-            out[i::threads] = part
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for i, part in enumerate(pool.map(_run_jobs, [g] * workers, chunks)):
+            out[i::workers] = part
     return out
 
 
@@ -246,21 +258,33 @@ fast_apvc = apvc_naive
 fast_ssvc = ssvc
 
 
-def _min_over_pairs(g: Graph, pairs: Iterable[Edge], cutoff: int | None) -> int:
-    """min kappa over the pairs; queries are capped at the running minimum."""
+def _min_over_pairs(
+    g: Graph, pairs: Iterable[Edge], cutoff: int | None
+) -> tuple[int, Edge | None]:
+    """min kappa over the pairs (at most cutoff), and the last pair that
+    lowered the running minimum, or None when none fell below cutoff.
+    Queries are capped at the running minimum, so that pair's flow stopped
+    below its cap and its value is exact."""
     sweep = ConnectivitySweep(g)
-    best = cutoff
+    best, arg = cutoff, None
     for u, v in pairs:
-        best = sweep.query(u, v, cutoff=best)
+        value = sweep.query(u, v, cutoff=best)
+        if best is None or value < best:
+            best, arg = value, (u, v)
         if best == 0:
             break
     assert best is not None
-    return best
+    return best, arg
 
 
 def global_vc(g: Graph) -> int:
-    """min kappa over all pairs, from at most n - 1 + C(delta, 2) flows
-    (Esfahanian and Hakimi 1984).
+    """min kappa over all pairs: global_vc_pair without the pair."""
+    return global_vc_pair(g)[0]
+
+
+def global_vc_pair(g: Graph) -> tuple[int, Edge]:
+    """min kappa over all pairs and a pair that attains it, from at most
+    n - 1 + C(delta, 2) flows (Esfahanian and Hakimi 1984).
 
     The pivot v is a vertex of minimum degree delta, the lowest id on ties.
     The minimum is taken over the pairs (v, w) for every w != v and over the
@@ -284,7 +308,9 @@ def global_vc(g: Graph) -> int:
         ((v, w) for w in range(g.n) if w != v),
         itertools.combinations(g.neighbors(v), 2),
     )
-    return _min_over_pairs(g, pairs, None)
+    value, pair = _min_over_pairs(g, pairs, None)
+    assert pair is not None
+    return value, pair
 
 
 def _terminal_pairs(g: Graph, terminals: Iterable[int]) -> Iterator[Edge]:
@@ -299,7 +325,14 @@ def _terminal_pairs(g: Graph, terminals: Iterable[int]) -> Iterator[Edge]:
 
 def steiner_vc(g: Graph, terminals: Iterable[int], cutoff: int | None = None) -> int:
     """min kappa over terminal pairs; with a cutoff, min(true value, cutoff)."""
-    return _min_over_pairs(g, _terminal_pairs(g, terminals), cutoff)
+    return _min_over_pairs(g, _terminal_pairs(g, terminals), cutoff)[0]
+
+
+def steiner_vc_pair(g: Graph, terminals: Iterable[int]) -> tuple[int, Edge]:
+    """min kappa over terminal pairs and a terminal pair that attains it."""
+    value, pair = _min_over_pairs(g, _terminal_pairs(g, terminals), None)
+    assert pair is not None
+    return value, pair
 
 
 def steiner_at_least(g: Graph, terminals: Iterable[int], thr: int) -> bool:

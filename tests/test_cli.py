@@ -11,7 +11,7 @@ import pytest
 import vclab
 from vclab.cli import THREADS_ENV, main, resolve_threads
 from vclab.errors import VclabError
-from vclab.flow import CutCertificate
+from vclab.flow import CutCertificate, paths_disjoint
 from vclab.graphs import EdgeSet, emit_graph, gen_gnp, parse_graph, parse_labeled
 from vclab.oracles import brute_4clique
 from vclab.reductions import parse_hard_instance
@@ -137,14 +137,67 @@ def test_vc_st_forged_cut_exit_1(tmp_path, capsys, monkeypatch):
 def test_vc_global(tmp_path, capsys):
     c5 = parse_graph("5 5\n0 1\n1 2\n2 3\n3 4\n0 4")
     assert main(["vc", "global", "--graph", write_graph(tmp_path, c5)]) == 0
-    assert capsys.readouterr().out == "2\n"
+    captured = capsys.readouterr()
+    assert captured.out == "2\n"
+    # the first pivot pair attains the minimum, and its cut and paths certify it
+    result = json.loads(captured.err)["result"]
+    assert result["value"] == 2 and result["pair"] == [0, 1]
+    assert len(result["cut_vertices"]) + len(result["cut_edges"]) == 2
+    assert sorted(result["paths"]) == [[0, 1], [0, 4, 3, 2, 1]]
 
 
 def test_vc_steiner(tmp_path, capsys):
-    path = write_graph(tmp_path, gen_gnp(7, 0.6, 12))
+    g = gen_gnp(7, 0.6, 12)
+    path = write_graph(tmp_path, g)
     assert main(["vc", "steiner", "--graph", path, "--terminals", "0 2 4"]) == 0
-    value = int(capsys.readouterr().out)
-    assert value >= 0
+    captured = capsys.readouterr()
+    value = int(captured.out)
+    result = json.loads(captured.err)["result"]
+    assert result["value"] == value and result["terminals"] == [0, 2, 4]
+    s, t = result["pair"]
+    assert {s, t} <= {0, 2, 4} and s < t
+    assert paths_disjoint(g, s, t, result["paths"], value)
+
+
+# argv after --graph for the C4 0-1-2-3-0, and the pair each certificate is for
+C4_GLOBAL = ["global"]  # the pivot 0 with its first partner 1
+C4_STEINER = ["steiner", "--terminals", "0 2"]
+
+
+@pytest.mark.parametrize("argv, paths", [
+    (C4_GLOBAL, [[0, 1], [0, 1]]),  # the edge 01 twice
+    (C4_GLOBAL, [[0, 1]]),  # fewer paths than the value
+    (C4_GLOBAL, [[0, 1], [0, 2, 1]]),  # 0-2 is not an edge
+    (C4_STEINER, [[0, 1, 2], [0, 1, 2]]),  # a shared inner vertex
+    (C4_STEINER, [[0, 1, 2], [0, 3, 0, 3, 2]]),  # a repeated inner vertex and an endpoint inside
+])
+def test_vc_min_forged_paths_exit_1(tmp_path, capsys, monkeypatch, argv, paths):
+    monkeypatch.setattr("vclab.cli.vertex_disjoint_paths", lambda g, s, t: paths)
+    assert main(["vc", *argv, "--graph", c4_file(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, cut", [
+    (C4_GLOBAL, CutCertificate(frozenset({2}), EdgeSet.of([(0, 3)]), 2)),  # the edge 01 stays
+    (C4_STEINER, CutCertificate(frozenset({1}), EdgeSet.of([(0, 1)]), 2)),  # 0-3-2 stays
+])
+def test_vc_min_forged_cut_exit_1(tmp_path, capsys, monkeypatch, argv, cut):
+    monkeypatch.setattr("vclab.cli.vertex_connectivity", lambda g, s, t: (2, cut))
+    assert main(["vc", *argv, "--graph", c4_file(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("solver, argv, claim", [
+    ("global_vc_pair", C4_GLOBAL, (1, (0, 1))),  # below kappa(0, 1) = 2
+    ("steiner_vc_pair", C4_STEINER, (3, (0, 2))),  # above kappa(0, 2) = 2
+])
+def test_vc_min_forged_value_exit_1(tmp_path, capsys, monkeypatch, solver, argv, claim):
+    monkeypatch.setattr(f"vclab.cli.{solver}", lambda *args: claim)
+    assert main(["vc", *argv, "--graph", c4_file(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_vc_ssvc_row(tmp_path, capsys):

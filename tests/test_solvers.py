@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+import os
 import random
 import weakref
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vclab import flow
+from vclab import flow, solvers
 from vclab.errors import InconsistencyError, QueryError
 from vclab.flow import ConnectivitySweep, vertex_connectivity
 from vclab.graphs import EdgeSet, Graph, gen_gnp
@@ -24,10 +25,12 @@ from vclab.solvers import (
     fast_apvc,
     fast_ssvc,
     global_vc,
+    global_vc_pair,
     sample_set_count,
     ssvc,
     steiner_at_least,
     steiner_vc,
+    steiner_vc_pair,
     _verified_entry,
 )
 
@@ -216,6 +219,19 @@ def test_global_vc_matches_all_pairs(g):
     assert global_vc(g) == apvc_naive(g).min_offdiag()
 
 
+def test_min_pairs_attain_the_minimum():
+    rng = random.Random(14)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        g = gen_gnp(n, rng.uniform(0.2, 0.9), rng.randrange(10**6))
+        value, (u, v) = global_vc_pair(g)
+        assert value == global_vc(g) == vertex_connectivity(g, u, v)[0]
+        terms = rng.sample(range(n), rng.randint(2, n))
+        value, (u, v) = steiner_vc_pair(g, terms)
+        assert value == steiner_vc(g, terms) == vertex_connectivity(g, u, v)[0]
+        assert {u, v} <= set(terms)
+
+
 def test_global_vc_queries_only_the_pivot_pairs(monkeypatch):
     asked = []
     query = ConnectivitySweep.query
@@ -372,14 +388,21 @@ def test_threads_do_not_change_answers():
     assert fast_ssvc(sparse, s, threads=2) == fast_ssvc(sparse, s, threads=1) == ssvc(sparse, s)
     assert ssvc(sparse, s, threads=2) == ssvc(sparse, s)
     # enough work for the pool: the matrix is computed in two worker processes
-    dense = dense_exact_graph()
-    assert apvc_naive(dense, threads=2) == apvc_naive(dense, threads=1)
+    big = pooled_graph()
+    assert apvc_naive(big, threads=2) == apvc_naive(big, threads=1)
 
 
 def dense_exact_graph():
     """A graph of the benchmark's dense-exact size: n = 30, m = 218."""
     edges = random.Random(1).sample(list(itertools.combinations(range(30), 2)), 218)
     return Graph.from_edges(30, edges)
+
+
+def pooled_graph():
+    """G(36, 1/2), whose apvc_naive batch has enough work for a pool."""
+    g = gen_gnp(36, 0.5, 1)
+    assert g.m * 36 * 35 // 2 > solvers._MIN_POOLED_WORK
+    return g
 
 
 def test_most_dense_queries_run_no_search(monkeypatch):
@@ -403,14 +426,17 @@ def test_most_dense_queries_run_no_search(monkeypatch):
     assert searched.count(False) > len(searched) / 2
 
 
-def test_fan_out_pools_only_work_worth_a_pool(monkeypatch):
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every pool `_fan_out` opens, on a host with two
+    CPUs; the pools run in process."""
+    opened = []
 
     class RecordingPool:
         """Stands in for ProcessPoolExecutor: records each pool, maps in process."""
 
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            opened.append(max_workers)
 
         def __enter__(self):
             return self
@@ -421,6 +447,13 @@ def test_fan_out_pools_only_work_worth_a_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
+    # _fan_out imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return opened
+
+
+def test_fan_out_pools_only_work_worth_a_pool(monkeypatch, pools):
     builds = []
     build = ConnectivitySweep.__init__
 
@@ -428,8 +461,6 @@ def test_fan_out_pools_only_work_worth_a_pool(monkeypatch):
         builds.append(args)
         build(self, *args, **kwargs)
 
-    # _fan_out imports the pool class when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(ConnectivitySweep, "__init__", counted_build)
     # 66 queries on m = 36 and 39 on m = 228: forking costs more than the flows
     small = gen_gnp(12, 0.5, 1)
@@ -439,13 +470,26 @@ def test_fan_out_pools_only_work_worth_a_pool(monkeypatch):
     mid = gen_gnp(40, 0.3, 1)
     assert ssvc(mid, 0, threads=2) == ssvc(mid, 0)
     assert pools == []
-    # dense-exact's batch: 435 queries on m = 218 is above the threshold, so
-    # it is pooled. Timed on a 2-CPU VM shared with other load (15 runs
-    # each), it took a median 20 ms in process and 37 ms in the pool; the
-    # threshold awaits a re-measurement on two idle CPUs
+    # dense-exact's batch, 435 queries on m = 218, runs in process too: on
+    # two CPUs it took a median 21 ms there against 25 ms in a pool of 2
     dense = dense_exact_graph()
     assert apvc_naive(dense, threads=2) == apvc_naive(dense)
+    assert pools == []
+    # 630 queries on m = 303 are above the threshold, so they are pooled
+    big = pooled_graph()
+    assert apvc_naive(big, threads=2) == apvc_naive(big)
     assert pools == [2]
+
+
+def test_fan_out_starts_at_most_one_worker_per_cpu(monkeypatch, pools):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    big = pooled_graph()
+    # 10 000 threads deal the 630 pairs one to a chunk, over three workers
+    assert apvc_naive(big, threads=10_000) == apvc_naive(big)
+    assert pools == [3]
+    # ssvc's 35 queries are too little work for a pool at any thread count
+    assert ssvc(big, 0, threads=10_000) == ssvc(big, 0)
+    assert pools == [3]
 
 
 def test_sampled_estimates_hold_one_network_at_a_time(monkeypatch):
