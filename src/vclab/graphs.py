@@ -1,8 +1,10 @@
 """Core graph representation, deterministic text I/O, and instance generators.
 
-Vertices are dense integer ids 0..n-1. A Graph is immutable once built, so it
-is safe to share across worker processes. Group structure (for the hardness
-constructions) lives in LabeledInstance, keeping every solver oblivious to it.
+Vertices are dense integer ids 0..n-1. A Graph's adjacency is immutable once
+built. Its neighbor sets are built on first use and cached, and the cache holds
+nothing else, so a Graph is still safe to share across threads and worker
+processes. Group structure (for the hardness constructions) lives in
+LabeledInstance, keeping every solver oblivious to it.
 """
 
 from __future__ import annotations
@@ -32,72 +34,115 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _reject_first_bad_edge(n: int, edges: Sequence[Edge]) -> NoReturn:
-    """Raise the ValueError naming the first edge that Graph.from_edges rejects."""
+def _reject_first_bad_edge(n: int, edges: Iterable[Edge]) -> NoReturn:
+    """Raise the ValueError naming the first edge that Graph.from_edges rejects.
+
+    The edges are read in order up to the first out-of-range endpoint or
+    self-loop, which is named unless a duplicate came before it. A non-pair
+    met first raises its unpacking error; with no bad edge but duplicates,
+    the first duplicate is named.
+    """
     seen: set[Edge] = set()
+    dup: Edge | None = None
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            if dup is not None:
+                break
+            if u == v and 0 <= u < n:
+                raise ValueError(f"self-loop at vertex {u}")
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
         e = canonical_edge(u, v)
-        if e in seen:
-            raise ValueError(f"duplicate edge {e}")
+        if dup is None and e in seen:
+            dup = e
         seen.add(e)
+    if dup is not None:
+        raise ValueError(f"duplicate edge {dup}")
     raise AssertionError("every edge is valid")
 
 
 class Graph:
-    """Simple undirected unweighted graph with sorted per-vertex neighbor lists."""
+    """Simple undirected unweighted graph with sorted per-vertex neighbor lists.
 
-    __slots__ = ("n", "m", "_adj", "_adjsets")
+    A vertex's neighbor set is built on first use and cached. The cache only
+    holds sets equal to the neighbor lists, so a Graph is still safe to
+    share: two threads that race build equal sets, and a pickle carries the
+    lists alone.
+    """
+
+    __slots__ = ("n", "m", "_adj", "_sets")
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
         self.n = n
         self._adj = tuple(map(tuple, adj))
-        self._adjsets = tuple(frozenset(nbrs) if nbrs else _NO_NEIGHBORS for nbrs in self._adj)
+        self._sets: list[frozenset[int] | None] = [None] * n
         self.m = sum(map(len, self._adj)) // 2
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
-        """Build a graph from an edge collection.
+    def __reduce__(self):
+        return type(self), (self.n, self._adj)
 
-        Rejects a negative vertex count, self-loops, duplicate edges (in
-        either orientation), and out-of-range endpoints; the error names the
-        first bad edge in input order.
+    @classmethod
+    def from_endpoints(cls, n: int, us: Sequence[int], vs: Sequence[int]) -> "Graph":
+        """Build the graph whose i-th edge joins us[i] and vs[i].
+
+        Rejects a negative vertex count, endpoint sequences of different
+        lengths, self-loops, duplicate edges (in either orientation), and
+        out-of-range endpoints; the error names the first bad edge in input
+        order. No tuple is made per edge.
         """
         if n < 0:
             raise ValueError(f"need n >= 0, got {n}")
-        edges = list(edges)
+        m = len(us)
+        if len(vs) != m:
+            raise ValueError(f"{m} first endpoints but {len(vs)} second endpoints")
         # When 2m < n, most vertices have no edge: only the endpoints get a
         # list and the others share (). Otherwise n lists cost O(m) anyway.
         adj: list = [()] * n
-        for v in range(n) if 2 * len(edges) >= n else {x for e in edges for x in e if 0 <= x < n}:
+        for v in range(n) if 2 * m >= n else {x for x in itertools.chain(us, vs) if 0 <= x < n}:
             adj[v] = []
-        for u, v in edges:
+        for u, v in zip(us, vs):
             if u == v or not (0 <= u < n and 0 <= v < n):
-                _reject_first_bad_edge(n, edges)
+                _reject_first_bad_edge(n, zip(us, vs))
             adj[u].append(v)
             adj[v].append(u)
-        for nbrs in filter(None, adj):
+        nonempty = list(filter(None, adj))
+        for nbrs in nonempty:
             nbrs.sort()
-        g = cls(n, adj)
-        # a duplicate edge shrinks its endpoints' neighbor sets below their lists
-        if sum(map(len, g._adjsets)) != 2 * len(edges):
+        # a duplicate edge repeats a neighbor in both of its endpoints' lists
+        if sum(map(len, map(set, nonempty))) != 2 * m:
+            _reject_first_bad_edge(n, zip(us, vs))
+        return cls(n, adj)
+
+    @classmethod
+    def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
+        """Build a graph from an edge collection, checked as from_endpoints
+        checks it. A non-pair raises its unpacking error, unless an
+        out-of-range endpoint or a self-loop comes before it."""
+        edges = list(edges) if n >= 0 else []  # from_endpoints rejects n first
+        try:
+            us = [u for u, _ in edges]
+        except ValueError:  # a non-pair
             _reject_first_bad_edge(n, edges)
-        return g
+        return cls.from_endpoints(n, us, [v for _, v in edges])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._adjsets[v]
+        s = self._sets[v]
+        if s is None:
+            nbrs = self._adj[v]
+            s = self._sets[v] = frozenset(nbrs) if nbrs else _NO_NEIGHBORS
+        return s
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adjsets[u]
+        # has_edge is the oracles' inner loop: a built set costs one lookup
+        try:
+            return v in self._sets[u]
+        except TypeError:  # not built yet: `v in None`
+            return v in self.neighbor_set(u)
 
     def edges(self) -> list[Edge]:
         """All edges as canonical (u, v) pairs, sorted."""
@@ -109,10 +154,10 @@ class Graph:
         for u in range(self.n):
             nbrs = self._adj[u]
             assert list(nbrs) == sorted(set(nbrs)), f"adjacency of {u} not sorted/unique"
-            assert u not in self._adjsets[u], f"self-loop at {u}"
+            assert u not in nbrs, f"self-loop at {u}"
             for v in nbrs:
                 assert 0 <= v < self.n, f"neighbor {v} of {u} out of range"
-                assert u in self._adjsets[v], f"asymmetric edge ({u}, {v})"
+                assert self.has_edge(v, u), f"asymmetric edge ({u}, {v})"
             deg_total += len(nbrs)
         assert self.m == deg_total // 2, "edge count does not match degree sum"
 
@@ -170,7 +215,9 @@ class EdgeSet:
         return cls(tuple(sorted(canon)))
 
     def __contains__(self, pair: Edge) -> bool:
-        return canonical_edge(*pair) in set(self.pairs)
+        e = canonical_edge(*pair)
+        i = bisect.bisect_left(self.pairs, e)
+        return i < len(self.pairs) and self.pairs[i] == e
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.pairs)
@@ -264,7 +311,7 @@ def _parse_canonical(text: str) -> Graph | None:
     elif (cut := body.find("\n%")) >= 0:
         body = body[: cut + 1]
     if not body:
-        return Graph.from_edges(n, []) if m == 0 else None
+        return Graph.from_endpoints(n, [], []) if m == 0 else None
     # canonical lines: with the digits gone, the separators alternate space,
     # newline; the length test comes first, so a huge m allocates nothing
     seps = body.translate(_DROP_DIGITS)
@@ -273,7 +320,7 @@ def _parse_canonical(text: str) -> Graph | None:
     # an empty digit run or a leading zero is not JSON, so json.loads rejects it
     try:
         tokens = json.loads("[" + body[:-1].translate(_SEPARATORS_TO_COMMAS) + "]")
-        return Graph.from_edges(n, zip(tokens[0::2], tokens[1::2]))
+        return Graph.from_endpoints(n, tokens[0::2], tokens[1::2])
     except ValueError:
         return None
 

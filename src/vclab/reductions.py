@@ -289,9 +289,19 @@ def apvc_threshold(g: Graph, a: int, d: int) -> int:
     return 4 * g.n + g.degree(a) + g.degree(d) - 2 * common + 1
 
 
-def _bipartite_edges(n: int, blocks: Iterable[tuple[int, int, Sequence[Iterable[int]]]]) -> list[Edge]:
-    """Edges (x0 + u, y0 + v) for every block (x0, y0, rows), u < n, v in rows[u]."""
-    return [(x0 + u, y0 + v) for x0, y0, rows in blocks for u in range(n) for v in rows[u]]
+Block = tuple[int, int, Sequence[Sequence[int]]]
+
+
+def _bipartite_edges(n: int, blocks: Iterable[Block]) -> tuple[list[int], list[int]]:
+    """The endpoint lists of the edges (x0 + u, y0 + v) for every block
+    (x0, y0, rows), u < n, v in rows[u]."""
+    us: list[int] = []
+    vs: list[int] = []
+    for x0, y0, rows in blocks:
+        for u in range(n):
+            us += [x0 + u] * len(rows[u])
+        vs += [y0 + v for u in range(n) for v in rows[u]]
+    return us, vs
 
 
 def _non_adjacency(g: Graph) -> list[list[int]]:
@@ -299,8 +309,9 @@ def _non_adjacency(g: Graph) -> list[list[int]]:
     return [[v for v in range(g.n) if not g.has_edge(u, v)] for u in range(g.n)]
 
 
-def _h_edges(g: Graph) -> list[Edge]:
-    """H's edge families, built directly in closed form.
+def _h_blocks(g: Graph, non: list[list[int]]) -> list[Block]:
+    """H's edge families as _bipartite_edges blocks, in closed form; `non`
+    is _non_adjacency(g).
 
     The equivalent pair-by-pair union of filters and gadget is exercised in
     tests only.
@@ -311,9 +322,8 @@ def _h_edges(g: Graph) -> list[Edge]:
     full = range(n)
     every = [full] * n
     adj = [g.neighbors(u) for u in full]
-    non = _non_adjacency(g)
     same = [(u,) for u in full]
-    return _bipartite_edges(n, (
+    return [
         # filter families, collapsed over all (a, d)
         (0, n, every),  # A-B complete
         (n, 3 * n, non),  # B-D non-adj
@@ -333,13 +343,14 @@ def _h_edges(g: Graph) -> list[Edge]:
         (8 * n, 0, every),
         (0, 7 * n, every),
         (3 * n, 9 * n, every),
-    ))
+    ]
 
 
 def build_h(g: Graph) -> HardInstance:
     """The 10n-vertex instance whose (a, d) connectivities detect 4-cliques."""
     n = g.n
-    graph = Graph.from_edges(10 * n, _h_edges(g))
+    us, vs = _bipartite_edges(n, _h_blocks(g, _non_adjacency(g)))
+    graph = Graph.from_endpoints(10 * n, us, vs)
     groups = {tag: range(i * n, (i + 1) * n) for i, tag in enumerate(H_GROUPS)}
     inst = LabeledInstance.build(graph, groups)
     full = range(n)
@@ -417,19 +428,18 @@ def build_j(g: Graph, demand: EdgeSet) -> HardInstance:
     A and D answers the universal question at threshold 5n + 1.
     """
     n = g.n
-    graph_edges = set(g.edges())
-    for e in demand:
-        if e not in graph_edges:
-            raise DemandError(f"demand edge {e} not in the source graph")
-    edges = _h_edges(g)
+    for u, v in demand:
+        if not (0 <= u < n and 0 <= v < n and g.has_edge(u, v)):
+            raise DemandError(f"demand edge {(u, v)} not in the source graph")
+    non = _non_adjacency(g)
+    blocks = _h_blocks(g, non)
     full = range(n)
     z0, w0, ap0, dp0 = 10 * n, 11 * n, 12 * n, 22 * n
     adj = [g.neighbors(u) for u in full]
-    non = _non_adjacency(g)
     bulk = [range(10 * n)] * n
     demand_set = set(demand.pairs)
     direct = [[v for v in full if u == v or canonical_edge(u, v) not in demand_set] for u in full]
-    edges += _bipartite_edges(n, (
+    blocks += [
         (0, z0, adj),  # A-Z
         (3 * n, z0, adj),  # D-Z
         (0, w0, non),  # A-W, including each vertex's own copy
@@ -437,9 +447,9 @@ def build_j(g: Graph, demand: EdgeSet) -> HardInstance:
         (0, ap0, bulk),  # A-A' complete
         (3 * n, dp0, bulk),  # D-D' complete
         (0, 3 * n, direct),  # A-D for every non-demand pair, the diagonal included
-    ))
-
-    graph = Graph.from_edges(32 * n, edges)
+    ]
+    us, vs = _bipartite_edges(n, blocks)
+    graph = Graph.from_endpoints(32 * n, us, vs)
     groups = {tag: range(i * n, (i + 1) * n) for i, tag in enumerate(H_GROUPS)}
     groups["Z"] = range(z0, z0 + n)
     groups["W"] = range(w0, w0 + n)

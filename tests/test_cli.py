@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -296,11 +297,17 @@ def test_gen_verify_out_bad_input_exit_2(tmp_path, argv):
     ({"g.txt": "100000000000 0\n"}, ["vc", "global", "--graph", "g.txt"]),  # header above MAX_VERTICES
     ({"g.txt": "3 2\n0 1\n1 2\n", "d.txt": "0 1\n1 1\n"},
      ["reduce", "steiner", "--graph", "g.txt", "--demand", "d.txt"]),  # self-loop demand line
+    # canonical-looking documents: the bulk parser rejects them, the line parser names the line
+    ({"g.txt": "3 2\n0 1\n0 1\n"}, ["vc", "global", "--graph", "g.txt"]),  # duplicate edge
+    ({"g.txt": "3 2\n0 1\n1 0\n"}, ["vc", "global", "--graph", "g.txt"]),  # reversed duplicate
+    ({"g.txt": "3 1\n0 3\n"}, ["vc", "global", "--graph", "g.txt"]),  # endpoint out of range
+    ({"g.txt": "3 1\n1 1\n"}, ["vc", "global", "--graph", "g.txt"]),  # self-loop
 ])
 def test_bad_input_files_exit_2(tmp_path, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    assert_cli_exit_2([str(tmp_path / arg) if arg in files else arg for arg in argv])
+    stderr = assert_cli_exit_2([str(tmp_path / arg) if arg in files else arg for arg in argv])
+    assert re.match(r"error: line [0-9]+: ", stderr)
 
 
 def run_python(args):
@@ -316,6 +323,7 @@ def assert_cli_exit_2(argv):
     assert done.returncode == 2
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:")
+    return done.stderr
 
 
 # ---------------------------------------------------------------------------

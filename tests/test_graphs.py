@@ -1,9 +1,10 @@
 import itertools
+import pickle
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vclab.errors import GraphParseError
@@ -94,6 +95,8 @@ def test_from_edges_rejects_garbage():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError):
+        Graph.from_endpoints(3, [0, 1], [1])
 
 
 @pytest.mark.parametrize(
@@ -114,6 +117,92 @@ def test_from_edges_names_the_first_bad_edge(edges, message):
     assert str(err.value) == message
 
 
+def _reference_reject(n, edges):
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+    raise AssertionError("every edge is valid")
+
+
+def reference_from_edges(n, edges):
+    """The builder as one loop over (u, v) tuples: from_edges and
+    from_endpoints must give its graph, or its error message."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    edges = list(edges)
+    adj = [()] * n
+    for v in range(n) if 2 * len(edges) >= n else {x for e in edges for x in e if 0 <= x < n}:
+        adj[v] = []
+    for u, v in edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            _reference_reject(n, edges)
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in filter(None, adj):
+        nbrs.sort()
+    if sum(len(set(nbrs)) for nbrs in adj) != 2 * len(edges):
+        _reference_reject(n, edges)
+    return Graph(n, adj)
+
+
+@st.composite
+def edge_lists(draw):
+    """n in -1..10 and a list of distinct edges in random orientation, with
+    up to three bad entries inserted: a duplicate in either orientation, a
+    self-loop, an out-of-range or negative endpoint, or a non-pair."""
+    n = draw(st.integers(-1, 10))
+    pairs = list(itertools.combinations(range(max(n, 0)), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    edges = [e[::-1] if draw(st.booleans()) else e for e in edges]
+    endpoint = st.integers(-2, max(n, 0) + 1)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["duplicate", "loop", "range", "non-pair"]))
+        if kind == "duplicate" and edges:
+            e = draw(st.sampled_from(edges))
+            bad = e[::-1] if draw(st.booleans()) else e
+        elif kind == "loop":
+            bad = (draw(endpoint),) * 2
+        elif kind == "non-pair":
+            bad = tuple(draw(st.lists(endpoint, min_size=1, max_size=3).filter(lambda t: len(t) != 2)))
+        else:
+            bad = (draw(endpoint), draw(endpoint))
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(edge_lists())
+@example((0, []))
+@example((5, []))
+@example((9, [(0, 8)]))  # 2m < n: only the endpoints get a list
+@example((9, [(0, 8), (8, 0)]))
+@example((9, [(0, 1), (1, 0), (2, 3, 4)]))  # a non-pair after a duplicate
+@settings(max_examples=300)
+def test_builders_match_the_reference_builder(case):
+    n, edges = case
+    expected = _outcome(lambda: reference_from_edges(n, edges))
+    assert _outcome(lambda: Graph.from_edges(n, edges)) == expected
+    assert _outcome(lambda: Graph.from_edges(n, iter(edges))) == expected
+    if all(len(e) == 2 for e in edges):
+        us, vs = [u for u, _ in edges], [v for _, v in edges]
+        assert _outcome(lambda: Graph.from_endpoints(n, us, vs)) == expected
+    if isinstance(expected, Graph):
+        expected.validate()
+
+
 def test_without_vertices_keeps_ids():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     h = g.without_vertices([1])
@@ -131,8 +220,9 @@ def test_isolated_vertices_share_one_neighbor_set():
 
 
 def test_isolated_vertices_cost_no_adjacency_list():
-    # the finished graph holds three 8 MiB tables (neighbors, neighbor sets,
-    # the list they are built from); a list per vertex peaked at 160 MiB
+    # the finished graph holds three 8 MiB tables (neighbors, the neighbor
+    # set cache, the list they are built from); a list per vertex peaked at
+    # 160 MiB
     tracemalloc.start()
     try:
         g = parse_graph(f"{2**20} 1\n0 {2**20 - 1}\n")
@@ -141,6 +231,28 @@ def test_isolated_vertices_cost_no_adjacency_list():
         tracemalloc.stop()
     assert g.neighbors(0) == (2**20 - 1,) and g.degree(1) == 0
     assert peak < 40 * 2**20
+
+
+def test_neighbor_sets_are_built_on_first_use():
+    g = gen_gnp(12, 0.5, 3)
+    assert g._sets == [None] * g.n
+    for v in range(g.n):
+        s = g.neighbor_set(v)
+        assert s == frozenset(g.neighbors(v))
+        assert g.neighbor_set(v) is s
+    h = gen_gnp(12, 0.5, 3)
+    assert [[h.has_edge(u, v) for v in range(h.n)] for u in range(h.n)] == [
+        [v in g.neighbors(u) for v in range(g.n)] for u in range(g.n)
+    ]
+
+
+def test_graph_with_built_sets_pickles():
+    g = gen_gnp(10, 0.4, 2)
+    g.neighbor_set(0)
+    g.has_edge(3, 4)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and back.m == g.m
+    assert [back.neighbor_set(v) for v in range(g.n)] == [g.neighbor_set(v) for v in range(g.n)]
 
 
 def test_with_edges_and_union():
@@ -155,6 +267,7 @@ def test_edge_set_canonicalizes():
     es = EdgeSet.of([(2, 1), (1, 2), (0, 3)])
     assert es.pairs == ((0, 3), (1, 2))
     assert (1, 2) in es and (2, 1) in es
+    assert (0, 1) not in es and (1, 3) not in es and (3, 2) not in es and (4, 5) not in es
     assert len(es) == 2
     with pytest.raises(ValueError):
         EdgeSet.of([(1, 1)])

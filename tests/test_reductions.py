@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -444,6 +445,9 @@ def test_j_structure():
 def test_j_rejects_bad_demand():
     with pytest.raises(DemandError):
         build_j(c5(), EdgeSet.of([(0, 2)]))
+    for pair in [(0, 7), (-1, 0)]:  # -1 would index vertex 4, a neighbour of 0
+        with pytest.raises(DemandError):
+            build_j(c5(), EdgeSet.of([pair]))
     with pytest.raises(QueryError):
         build_j(Graph.from_edges(0, []), EdgeSet.of([]))
 
@@ -549,3 +553,27 @@ def test_hard_instance_parse_errors():
     assert "pair 0 6 " in text
     with pytest.raises(GraphParseError):
         parse_hard_instance(text.replace("pair 0 6 ", "pair 0 x "))
+
+
+def test_hard_instances_build_no_neighbor_sets():
+    g = gen_gnp(9, 0.5, 46)
+    for hard in (build_h(g), build_j(g, EdgeSet.of(g.edges()[:2]))):
+        assert hard.graph._sets == [None] * hard.graph.n
+        back = parse_hard_instance(emit_hard_instance(hard))
+        assert back.graph._sets == [None] * back.graph.n
+
+
+def test_j_round_trip_allocation_peak():
+    # one (u, v) tuple per edge in the build and in the parse, plus a
+    # frozenset per vertex, peaked at 13.5 MiB here; flat endpoint lists and
+    # neighbour sets built on first use peak at 6.2 MiB
+    g = gen_gnp(40, 0.3, 1)
+    demand = EdgeSet.of(g.edges()[:3])
+    tracemalloc.start()
+    try:
+        hard = parse_hard_instance(emit_hard_instance(build_j(g, demand)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hard.graph.n == 32 * 40 and hard.demand == demand
+    assert peak < 9 * 2**20
