@@ -12,11 +12,15 @@ minimum mixed cut, with no special case for adjacent endpoints.
 ConnectivitySweep builds this network once per graph and aims it at each
 query; every value, cut and path family in vclab comes from one of its
 queries. The arc layout is fixed, so an arc index alone names the graph
-element it stands for. A query stops at min(deg u, deg v), which bounds
-every u-v flow, so a flow that reaches it is maximum with no final search.
-Before Dinic runs, the query routes the paths that need no search: the edge
-uv, u-w-v for each common neighbour w, and then, greedily, u-w-x-v paths
-through a neighbour w of u only and a neighbour x of v only.
+element it stands for, and the sweep fills the arc lists in bulk from it.
+A query stops at min(deg u, deg v), which bounds every u-v flow, so a flow
+that reaches it is maximum with no final search. Before Dinic runs, the
+query routes the paths that need no search: the edge uv, u-w-v for each
+common neighbour w, and then, greedily, u-w-x-v paths through a neighbour w
+of u only and a neighbour x of v only. On the split layout, flow
+conservation proves most arcs dead, and Dinic's two searches skip them (see
+the comment above `_sink_distances`); a hand-built FlowNetwork gets the full
+scans.
 
 "Unbounded" is encoded as n: no flow through a single vertex can exceed its
 degree, which is below n, so capacity n never binds.
@@ -40,7 +44,8 @@ class FlowNetwork:
     written after that; forward arc a carries flow cap[a ^ 1] and has
     capacity cap[a] + cap[a ^ 1]. `split` is set only by ConnectivitySweep,
     on the network it builds, and lets the flow core skip arcs that the split
-    layout proves dead (see the comment above `_sink_distances`).
+    layout proves dead and push one unit per path (see the comment above
+    `_sink_distances`).
     """
 
     __slots__ = ("num_nodes", "source", "sink", "to", "cap", "cap0", "adj", "split")
@@ -70,16 +75,19 @@ class FlowNetwork:
 
     def validate(self, big: int) -> None:
         """Assert the split-network invariants: the split mark, each arc
-        listed at its tail, the capacity alphabet, and the layout (arc 2v is
-        v's internal arc and heads both its nodes' arc lists, then two
-        mirrored arcs per edge)."""
+        listed once, at its tail, in ascending order (the searches' scan
+        order), the capacity alphabet, and the layout (arc 2v is v's internal
+        arc and heads both its nodes' arc lists, then two mirrored arcs per
+        edge)."""
         to, cap0 = self.to, self.cap0
         arcs, inner = len(to), self.num_nodes
         assert self.split, "split layout on a network without the split mark"
         assert arcs >= inner and (arcs - inner) % 4 == 0
+        assert sorted(a for out in self.adj for a in out) == list(range(arcs)), "an arc is not listed exactly once"
         for x, out in enumerate(self.adj):
             assert out[0] == x, f"node {x} does not list its internal arc first"
             assert all(to[a ^ 1] == x for a in out), f"node {x} lists an arc it is not the tail of"
+            assert all(a < b for a, b in zip(out, out[1:])), f"node {x} lists its arcs out of order"
         for i in range(0, arcs, 2):
             assert cap0[i + 1] == 0
             assert cap0[i] in (1, big), f"arc {i} capacity {cap0[i]}"
@@ -131,13 +139,34 @@ class ConnectivitySweep:
             if not 0 <= x < g.n:
                 raise QueryError(f"terminal {x} out of range for n={g.n}")
         # arc 2v is v's internal arc v_in -> v_out; after them, edge g.edges()[i]
-        # owns the forward arcs 2n + 4i (u_out -> v_in) and 2n + 4i + 2 (v_out -> u_in)
-        self.net = net = FlowNetwork(2 * g.n, source=0, sink=1)
-        for v in range(g.n):
-            net.add_arc(2 * v, 2 * v + 1, big if v in uncuttable else 1)
-        for u, v in g.edges():
-            net.add_arc(2 * u + 1, 2 * v, 1)
-            net.add_arc(2 * v + 1, 2 * u, 1)
+        # owns the forward arcs 2n + 4i (u_out -> v_in) and 2n + 4i + 2 (v_out -> u_in).
+        # The lists are those that add_arc would build, filled in bulk
+        n, nbrs = g.n, g.neighbors
+        inner = 2 * n
+        self.net = net = FlowNetwork(inner, source=0, sink=1)
+        # u_in and v_in of each edge (u, v), u < v, in g.edges() order
+        us = [2 * u for u in range(n) for v in nbrs(u) if u < v]
+        vs = [2 * v for u in range(n) for v in nbrs(u) if u < v]
+        arcs = inner + 4 * len(us)
+        net.to = to = [0] * arcs
+        to[0:inner:2] = range(1, inner, 2)
+        to[1:inner:2] = range(0, inner, 2)
+        to[inner::4] = vs
+        to[inner + 1::4] = [x + 1 for x in us]
+        to[inner + 2::4] = us
+        to[inner + 3::4] = [x + 1 for x in vs]
+        net.cap = cap = [1, 0] * (arcs // 2)
+        for x in uncuttable:
+            cap[2 * x] = big
+        net.cap0 = cap[:]
+        adj = net.adj
+        for x, out in enumerate(adj):
+            out.append(x)
+        for a, u, v in zip(range(inner, arcs, 4), us, vs):
+            adj[u + 1].append(a)
+            adj[v].append(a + 1)
+            adj[v + 1].append(a + 2)
+            adj[u].append(a + 3)
         net.split = True
 
     def query(self, u: int, v: int, cutoff: int | None = None) -> int:
@@ -222,11 +251,13 @@ class ConnectivitySweep:
 # ---------------------------------------------------------------------------
 # Blocking-flow max flow. Each phase labels nodes by their residual distance
 # to the sink, found by a BFS from the sink over reversed residual arcs that
-# stops once the source is labelled. The DFS from the source then takes only
-# arcs that step one label closer to the sink, so every node it enters could
-# reach the sink when the phase began; a node whose arcs run out is marked
-# dead and no path enters it again in that phase. Arc order is fixed at build
-# time; the warm start routes its paths of one, two and three edges in
+# stops once the source is labelled (on a split network, once the source's
+# v_out is). The DFS from the source then takes only arcs that step one
+# label closer to the sink, so every node it enters could reach the sink
+# when the phase began; a node whose arcs run out is marked dead and no path
+# enters it again in that phase. Arc order is fixed at build time: each node
+# lists its arcs in ascending index order (`validate` checks it on a split
+# network). The warm start routes its paths of one, two and three edges in
 # u_out's arc order (the third edge of a u-w-x-v path in w_out's), and both
 # searches scan arcs in that order, so values, flows, and cuts are
 # deterministic for a given network. A connectivity query hands Dinic a
@@ -236,44 +267,84 @@ class ConnectivitySweep:
 # about one phase's work, and on dense graphs it often reaches the bound
 # alone, so the query runs no phase at all.
 #
-# On a network that ConnectivitySweep built (`net.split`), most arcs at an
-# idle vertex are dead. There v_out has exactly one in-arc and v_in exactly
-# one out-arc: v's internal arc 2v, which both list first. Take a vertex v
-# whose internal arc has capacity 1 and carries no flow (cap[2v] == 1 and
-# cap[2v + 1] == 0). By flow conservation at v_in and v_out, no edge arc
-# through v carries flow either. So v_out's only residual predecessor is
-# v_in, and v_in's only residual successor is v_out: the BFS labels v_in from
-# v_out without scanning v_out's arcs, and the DFS treats a v_in whose
-# internal arc is not admissible as dead at once. Every arc they skip would
-# have failed its residual test, so labels, flows and cuts are those of the
-# full scan. Endpoints and terminals have internal capacity big, so the test
-# excludes them by itself; a hand-built network keeps the full scan.
+# On a network that ConnectivitySweep built (`net.split`), flow
+# conservation proves most arcs dead. There v_out has exactly one in-arc and
+# v_in exactly one out-arc: v's internal arc 2v, which both list first. Every
+# edge arc has capacity 1. An internal arc of capacity big never saturates,
+# since the flow through a vertex is at most its degree, below n. So a
+# saturated internal arc has capacity 1, and the tests below that name
+# capacity 1 exclude endpoints and terminals by themselves. Each rule skips
+# only arcs that would fail their residual or level test, so the labels that
+# the DFS reads, the flows and the cuts are those of the full scan, arc for
+# arc; a hand-built network keeps the full scan.
+#
+# - An idle capacity-1 v (cap[2v] == 1, cap[2v + 1] == 0). No flow enters
+#   v_out, so none leaves it by an edge arc. So v_out's only residual
+#   predecessor is v_in, and the BFS labels v_in without scanning v_out's
+#   arcs.
+# - A v_out whose internal arc is saturated (cap[2v] == 0). One unit enters
+#   v_out, so exactly one edge arc v_out -> y_in carries it out. Its reverse
+#   y_in -> v_out is v_out's only residual predecessor, and the BFS scans
+#   v_out's arcs only until that one.
+# - A capacity-1 v_in (cap[2v] + cap[2v + 1] == 1). At most one unit enters
+#   v_in, so v_in has exactly one residual arc: its internal arc when v is
+#   idle, and otherwise the reverse arc to the x_out that feeds it. A unit
+#   that the DFS pushes through v_in leaves that one arc pointing back to
+#   the node the unit came from, one level up. So the arc is admissible on
+#   the DFS's first visit to v_in or not at all, and on any later visit v_in
+#   is dead.
+# - The source s = u_in. Its internal arc has capacity big, and no flow
+#   enters s: the warm start's paths and the DFS's paths leave it and never
+#   return. So s's only residual arc leads to s + 1, and the BFS reaches s
+#   only through s + 1. It stops when it labels s + 1 and gives s the next
+#   label; the DFS reads only s + 1 at that level, and every layer below it
+#   is complete.
+# - Unit pushes. Every augmenting path starts with s's internal arc, which
+#   never saturates, and then a capacity-1 edge arc out of s + 1 (the arc
+#   back to s leads one level up). So each augmentation pushes one unit,
+#   saturates that second arc first, and resumes at s + 1.
 # ---------------------------------------------------------------------------
 
 
 def _sink_distances(net: FlowNetwork) -> list[int]:
-    """Residual distance to the sink; -1 for nodes not reached before the source."""
+    """Residual distance to the sink; -1 for nodes not reached before the
+    source, or, on a split network, before the source's v_out."""
     dist = [-1] * net.num_nodes
     s, t = net.source, net.sink
     dist[t] = 0
     cap, to, adj, split = net.cap, net.to, net.adj, net.split
+    stop = s + 1 if split else s
     queue = [t]
     for w in queue:  # the list grows while it is walked: a FIFO queue
         nxt = dist[w] + 1
-        if split and w & 1 and cap[w] == 0 and cap[w - 1] == 1:
-            # an idle v_out = w: its only residual predecessor is its v_in,
-            # which has no other residual successor, so it is unlabelled; it
-            # is not the source either, whose internal arc is big
-            dist[w - 1] = nxt
-            queue.append(w - 1)
-            continue
+        if split and w & 1:
+            if cap[w - 1] == 0:
+                # a v_out = w that carries flow: its one residual predecessor
+                # is the y_in it feeds. That is not s + 1, an odd node, nor s,
+                # which no flow enters, so the search does not stop there
+                for a in adj[w]:
+                    if cap[a ^ 1] > 0:
+                        x = to[a]
+                        if dist[x] < 0:
+                            dist[x] = nxt
+                            queue.append(x)
+                        break
+                continue
+            if cap[w] == 0 and cap[w - 1] == 1:
+                # an idle v_out = w: its only residual predecessor is its v_in,
+                # which has no other residual successor, so it is unlabelled
+                dist[w - 1] = nxt
+                queue.append(w - 1)
+                continue
         for a in adj[w]:
             # arc a runs w -> x, so its partner a ^ 1 is the residual arc x -> w
             if cap[a ^ 1] > 0:
                 x = to[a]
                 if dist[x] < 0:
                     dist[x] = nxt
-                    if x == s:
+                    if x == stop:
+                        if split:
+                            dist[s] = nxt + 1
                         return dist
                     queue.append(x)
     return dist
@@ -290,26 +361,44 @@ def _blocking_flow(net: FlowNetwork, dist: list[int], budget: int) -> int:
     u = s
     while True:
         if u == t:
-            push = min(cap[a] for a in path)
-            if push > budget - total:
-                push = budget - total
-            for a in path:
-                cap[a] -= push
-                cap[a ^ 1] += push
-            total += push
+            if split:
+                # one unit, which saturates path[1] first (see above)
+                for a in path:
+                    cap[a] -= 1
+                    cap[a ^ 1] += 1
+                total += 1
+                del path[1:]
+                u = s + 1
+            else:
+                push = min(cap[a] for a in path)
+                if push > budget - total:
+                    push = budget - total
+                for a in path:
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                total += push
+                for i, a in enumerate(path):
+                    if cap[a] == 0:
+                        del path[i:]
+                        u = to[a ^ 1]
+                        break
             if total >= budget:
                 return total
-            for i, a in enumerate(path):
-                if cap[a] == 0:
-                    del path[i:]
-                    u = to[a ^ 1]
-                    break
             continue
         arcs = it[u]
         out = adj[u]
-        # an idle v_in = u has one residual arc, its internal arc out[0]. It
-        # is admissible when u is first entered; once passed, u is dead
-        end = 1 if arcs and split and not u & 1 and cap[u] == 1 and cap[u + 1] == 0 else len(out)
+        end = len(out)
+        if split:
+            if u == s:
+                end = 1  # s's one residual arc, to s + 1
+            elif not u & 1 and cap[u] + cap[u + 1] == 1:
+                # a capacity-1 v_in: test its one residual arc on the first visit only
+                if arcs:
+                    end = 0
+                else:
+                    while cap[out[arcs]] == 0:
+                        arcs += 1
+                    end = arcs + 1
         found = -1
         lu = dist[u] - 1
         while arcs < end:

@@ -20,9 +20,9 @@ from vclab.flow import (
     vertex_connectivity,
     vertex_disjoint_paths,
 )
-from vclab.graphs import Graph, gen_gnp
+from vclab.graphs import EdgeSet, Graph, gen_gnp, gen_planted_4clique
 from vclab.oracles import MIXED_CUT_MAX_M, brute_mixed_cut
-from vclab.reductions import build_h
+from vclab.reductions import build_h, build_j
 
 
 @st.composite
@@ -117,6 +117,54 @@ def test_split_network_shape():
         a = 2 * g.n + 4 * i
         assert (net.to[a + 1], net.to[a]) == (2 * x + 1, 2 * y)
         assert (net.to[a + 3], net.to[a + 2]) == (2 * y + 1, 2 * x)
+
+
+def reference_sweep_network(g, terminals=None):
+    """The sweep's network built one arc at a time through add_arc: the
+    reference for the sweep's bulk build."""
+    big = max(g.n, 2)
+    uncuttable = frozenset(terminals or ())
+    net = FlowNetwork(2 * g.n, source=0, sink=1)
+    for v in range(g.n):
+        net.add_arc(2 * v, 2 * v + 1, big if v in uncuttable else 1)
+    for u, v in g.edges():
+        net.add_arc(2 * u + 1, 2 * v, 1)
+        net.add_arc(2 * v + 1, 2 * u, 1)
+    net.split = True
+    return net
+
+
+def test_bulk_build_matches_the_reference_builder():
+    rng = random.Random(77)
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, []), Graph.from_edges(5, []), p3(), k4()]
+    graphs += [gen_gnp(rng.randint(2, 30), rng.choice((0.1, 0.3, 0.6, 0.9)), rng.randrange(10**6)) for _ in range(40)]
+    graphs.append(build_h(gen_gnp(6, 0.5, rng.randrange(10**6))).graph)
+    source = gen_planted_4clique(5, 0.4, True, rng.randrange(10**6))
+    graphs.append(build_j(source, EdgeSet.of(source.edges()[:2])).graph)
+    for g in graphs:
+        for terminals in (None, rng.sample(range(g.n), rng.randint(0, g.n))):
+            net = ConnectivitySweep(g, terminals).net
+            ref = reference_sweep_network(g, terminals)
+            assert net.to == ref.to
+            assert net.cap == ref.cap
+            assert net.cap0 == ref.cap0
+            assert net.adj == ref.adj
+            assert (net.num_nodes, net.source, net.sink) == (ref.num_nodes, 0, 1)
+            net.validate(big=max(g.n, 2))
+
+
+def test_validate_checks_each_arc_is_listed_once_in_order():
+    g = k4()
+    ConnectivitySweep(g).net.validate(big=4)
+    dropped = ConnectivitySweep(g).net
+    dropped.adj[3].pop()
+    with pytest.raises(AssertionError, match="exactly once"):
+        dropped.validate(big=4)
+    reordered = ConnectivitySweep(g).net
+    out = reordered.adj[3]
+    out[1], out[2] = out[2], out[1]
+    with pytest.raises(AssertionError, match="out of order"):
+        reordered.validate(big=4)
 
 
 def test_sweep_net_holds_the_last_query():
@@ -353,25 +401,41 @@ def test_split_scan_matches_full_scan(monkeypatch, element):
         dist = search(net)
         if net.split:
             ref = full_scan_sink_distances(net)
-            layer = ref[net.source]
-            assert dist[net.source] == layer
+            s = net.source
+            layer = ref[s]
+            assert dist[s] == layer
             if layer < 0:  # the source was not reached: every label is final
                 assert dist == ref
-            else:  # the search stops at the source, so only the layers below it are complete
-                below = lambda d: {x: dx for x, dx in enumerate(d) if 0 <= dx < layer}
+            else:
+                # the search stops at the source's v_out, one layer below the
+                # source, so only the layers below that one are complete
+                assert dist[s + 1] == layer - 1
+                below = lambda d: {x: dx for x, dx in enumerate(d) if 0 <= dx < layer - 1}
                 assert below(dist) == below(ref)
+                assert all(dx == ref[x] for x, dx in enumerate(dist) if dx >= 0)
             phases.append(net)
         return dist
 
     monkeypatch.setattr(flow, "_sink_distances", checked)
     rng = random.Random(808 + element)
-    graphs = [gen_gnp(rng.randint(2, 30), rng.choice((0.1, 0.2, 0.4, 0.7)), rng.randrange(10**6)) for _ in range(80)]
+    # (graph, the vertices that the query pairs and element-mode terminals are drawn from)
+    cases = []
+    for _ in range(80):
+        g = gen_gnp(rng.randint(2, 30), rng.choice((0.1, 0.2, 0.4, 0.7)), rng.randrange(10**6))
+        cases.append((g, range(g.n)))
     # H's layers give long phases in which the DFS revisits many nodes
-    graphs += [build_h(gen_gnp(8, 0.5, rng.randrange(10**6))).graph for _ in range(6)]
-    for g in graphs:
+    for _ in range(6):
+        g = build_h(gen_gnp(8, 0.5, rng.randrange(10**6))).graph
+        cases.append((g, range(g.n)))
+    # J is what the Steiner pipeline queries, on pairs of its terminals
+    for plant in (True, False):
+        source = gen_planted_4clique(5, 0.5, plant, rng.randrange(10**6))
+        hard = build_j(source, EdgeSet.of(rng.sample(source.edges(), min(2, source.m))))
+        cases.append((hard.graph, sorted(hard.terminals)))
+    for g, pool in cases:
         for _ in range(1 + g.n // 8):
-            u, v = rng.sample(range(g.n), 2)
-            terminals = {u, v} | set(rng.sample(range(g.n), rng.randint(0, g.n))) if element else None
+            u, v = rng.sample(pool, 2)
+            terminals = {u, v} | set(rng.sample(pool, rng.randint(0, len(pool)))) if element else None
             for cutoff in (None, rng.randint(0, g.n)):
                 split = ConnectivitySweep(g, terminals)
                 full = ConnectivitySweep(g, terminals)
